@@ -6,7 +6,7 @@
 //
 // Per application: the non-overlapped original plus five mechanism variants
 // (all-on + one-mechanism-off ablations), each crossed with the offload /
-// application-driven / progress-thread regimes via pipeline::cross_progress.
+// application-driven / progress-thread regimes via ReplayContext::with_progress.
 // Metrics collection is on, so the study report attributes the lost overlap
 // to progress_wait_s per scenario.
 #include <cstdio>
@@ -40,7 +40,11 @@ int main(int argc, char** argv) try {
       {"no chunking", true, true, false, true},
       {"no double buffering", true, true, true, false},
   };
-  const std::vector<pipeline::ProgressScenario> regimes = {
+  struct Regime {
+    std::string label;
+    dimemas::ProgressModel model;
+  };
+  const std::vector<Regime> regimes = {
       {"offload", dimemas::ProgressModel{}},
       {"app-driven", dimemas::parse_progress_spec("app")},
       {"thread", dimemas::parse_progress_spec("thread")},
@@ -69,12 +73,10 @@ int main(int argc, char** argv) try {
     replay.collect_metrics = true;  // wait attribution → progress_wait_s
     auto push = [&](const pipeline::ReplayContext& base,
                     const std::string& variant_name) {
-      std::vector<pipeline::ReplayContext> crossed =
-          pipeline::cross_progress(base, regimes);
-      for (std::size_t r = 0; r < crossed.size(); ++r) {
-        cells.push_back(Cell{std::move(crossed[r]),
+      for (const Regime& regime : regimes) {
+        cells.push_back(Cell{base.with_progress(regime.model),
                              app->name() + "/" + variant_name + "/" +
-                                 regimes[r].label});
+                                 regime.label});
       }
     };
     push(pipeline::make_context(traced.annotated,

@@ -21,7 +21,6 @@
 #include "common/strings.hpp"
 #include "common/table.hpp"
 #include "faults/spec.hpp"
-#include "pipeline/scenario.hpp"
 
 int main(int argc, char** argv) try {
   using namespace osim;
@@ -73,29 +72,20 @@ int main(int argc, char** argv) try {
     const tracer::TracedRun traced = bench::trace(setup, *selected[a]);
     const bench::AppScenarios sc = bench::scenarios(setup, *selected[a],
                                                     traced);
-    std::vector<pipeline::FaultScenario> fault_scenarios;
-    for (const Scenario& s : scenarios) {
-      std::string spec = strprintf("seed=%lld", static_cast<long long>(seed));
-      if (s.spec[0] != '\0') spec += std::string(";") + s.spec;
-      fault_scenarios.push_back(
-          {s.label, faults::parse_spec(spec)});
-    }
     dimemas::ReplayOptions with_metrics = sc.original.options();
     with_metrics.collect_metrics = true;
     const pipeline::ReplayContext original =
         sc.original.with_options(with_metrics);
     const pipeline::ReplayContext real = sc.real.with_options(with_metrics);
-    const std::vector<pipeline::ReplayContext> originals =
-        pipeline::cross_faults(original, fault_scenarios);
-    const std::vector<pipeline::ReplayContext> reals =
-        pipeline::cross_faults(real, fault_scenarios);
-    for (std::size_t s = 0; s < fault_scenarios.size(); ++s) {
-      cells.push_back({a, s, originals[s],
-                       selected[a]->name() + "/original/" +
-                           fault_scenarios[s].label});
-      cells.push_back({a, s, reals[s],
-                       selected[a]->name() + "/real/" +
-                           fault_scenarios[s].label});
+    for (std::size_t s = 0; s < std::size(scenarios); ++s) {
+      const Scenario& scenario = scenarios[s];
+      std::string spec = strprintf("seed=%lld", static_cast<long long>(seed));
+      if (scenario.spec[0] != '\0') spec += std::string(";") + scenario.spec;
+      const faults::FaultModel model = faults::parse_spec(spec);
+      cells.push_back({a, s, original.with_faults(model),
+                       selected[a]->name() + "/original/" + scenario.label});
+      cells.push_back({a, s, real.with_faults(model),
+                       selected[a]->name() + "/real/" + scenario.label});
     }
   }
 

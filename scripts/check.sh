@@ -1,9 +1,11 @@
 #!/bin/sh
 # Static checks plus a sanitizer build-and-test pass:
 #
-#   1. layering grep: nothing in bench/ or src/analysis/ may call
+#   1. layering greps: nothing in bench/ or src/analysis/ may call
 #      dimemas::replay directly — every replay goes through the
-#      pipeline::ReplayContext / Study API;
+#      pipeline::ReplayContext / Study API — and nothing in tools/ or
+#      src/serve/ may lower scenario flags by hand — every Platform /
+#      ReplayOptions built from flags comes from pipeline::ScenarioSpec;
 #   2. full build under AddressSanitizer + UndefinedBehaviorSanitizer (or
 #      ThreadSanitizer with 'thread', or standalone UBSan with 'undefined'
 #      as the second argument) and the full test suite;
@@ -50,6 +52,24 @@ if grep -rn --include='*.cpp' --include='*.hpp' -F '[[deprecated' \
   exit 1
 fi
 echo "shims OK (no [[deprecated]] under src/analysis/)"
+
+# One scenario lowering: tools/ and src/serve/ take their scenario as a
+# pipeline::ScenarioSpec and lower it with pipeline::lower_platform /
+# lower_options (src/pipeline/scenario.cpp). A collective-name comparison,
+# a fault/progress spec parse or a bandwidth assignment there is a second
+# copy of that lowering, free to drift from the first.
+if grep -rnE --include='*.cpp' --include='*.hpp' \
+     -e '[=!]= *"(binomial-tree|linear|recursive-doubling)"' \
+     -e '"(binomial-tree|linear|recursive-doubling)" *[=!]=' \
+     -e 'dimemas::parse_progress_spec\(|faults::parse_spec\(' \
+     -e 'bandwidth_MBps *=[^=]' \
+     "$ROOT/tools" "$ROOT/src/serve"; then
+  echo "error: scenario lowering in tools/ or src/serve/; build the" \
+       "Platform/ReplayOptions with pipeline::lower_platform /" \
+       "lower_options (src/pipeline/scenario.cpp)" >&2
+  exit 1
+fi
+echo "scenario OK (one lowering, in src/pipeline/scenario.cpp)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

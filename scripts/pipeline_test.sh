@@ -120,6 +120,25 @@ rc=$?
 set -e
 [ "$rc" -eq 2 ] || { echo "bad value: expected exit 2, got $rc" >&2; exit 1; }
 
+# Out-of-range scenario values are usage errors too, refused by the one
+# lowering before the network model sees them (not an abort).
+for bad in "--bandwidth 0" "--bandwidth nan" "--latency -4" "--buses -3" \
+           "--ports 0" "--eager -1"; do
+  set +e
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" $bad \
+      > /dev/null 2>&1
+  rc=$?
+  set -e
+  [ "$rc" -eq 2 ] || { echo "osim_replay $bad: expected exit 2, got $rc" >&2; exit 1; }
+done
+set +e
+"$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
+    --bandwidth 0 > /dev/null 2>&1
+rc=$?
+set -e
+[ "$rc" -eq 2 ] || { echo "osim_inspect --bandwidth 0: expected exit 2, got $rc" >&2; exit 1; }
+
 # Truncated binary trace: strict read refuses with exit 3...
 head -c 40 "$OUT/pop.original.btrace" > "$OUT/pop.cut.btrace"
 set +e
@@ -203,6 +222,19 @@ fi
 "$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
     --platform "$OUT/platform.cfg" --cache-dir "$CACHE" > "$OUT/fp.txt"
 grep -q "(present)" "$OUT/fp.txt"
+
+# Every scenario flag reaches the fingerprint the same way in both tools:
+# a --progress app replay is found under the address osim_inspect prints
+# for the same flags, and that address is not the offload one.
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.original.trace" \
+    --progress app --cache-dir "$CACHE" > /dev/null 2>&1
+"$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
+    --progress app --cache-dir "$CACHE" > "$OUT/fp_app.txt"
+grep -q "(present)" "$OUT/fp_app.txt"
+"$BUILD/tools/osim_inspect" --trace "$OUT/cg.original.trace" --fingerprint \
+    > "$OUT/fp_offload.txt"
+[ "$(head -1 "$OUT/fp_app.txt")" != "$(head -1 "$OUT/fp_offload.txt")" ] || {
+  echo "--progress app did not change the fingerprint" >&2; exit 1; }
 
 # Warm/cold bench round trip: the second run reports every scenario from
 # the disk tier, with makespans bit-identical to the cold run.

@@ -1,11 +1,13 @@
 #!/bin/sh
 # End-to-end contract of the analysis service at the CLI:
 #   1. submit --wait --report fetches a run report byte-identical to what
-#      `osim_replay --report` writes for the same trace and flags;
+#      `osim_replay --report` writes for the same trace and flags, with the
+#      default flags and with non-default ones;
 #   2. a resubmit of the same scenario is served without a replay, and a
 #      second client's concurrent submit shares the first's replay;
 #   3. admission control refuses submits with exit 6 when the queue is
-#      full, and bad requests (missing trace) exit 2;
+#      full, and bad requests (missing trace, out-of-range value) exit 2
+#      without costing a worker;
 #   4. poll/fetch/cancel/stats round-trip against live tickets;
 #   5. a SIGKILLed worker (via OSIM_CRASH_POINT) is reaped and its job
 #      retried — the client still gets its report;
@@ -88,6 +90,19 @@ grep -q '"root":' "$OUT/stats.json"  # store block present
 "$BUILD/tools/osim_cache" stats --cache-dir "$OUT/cache" --json \
     | grep -q '"schema":"osim.cache_stats"'
 
+# --- 1b. byte-identity beyond the default flags -----------------------------
+
+ND_FLAGS="--collectives linear --progress app --buses 2 --eager 4096"
+# shellcheck disable=SC2086  # $ND_FLAGS is a flag list
+"$CLIENT" submit --socket "$SOCK" --trace "$OUT/cg.overlap_real.trace" \
+    $ND_FLAGS --faults 'seed=7;loss=0.02' \
+    --wait --report "$OUT/via_serve_nd.json" > /dev/null
+# shellcheck disable=SC2086
+"$BUILD/tools/osim_replay" --trace "$OUT/cg.overlap_real.trace" \
+    $ND_FLAGS --faults 'seed=7;loss=0.02' \
+    --report "$OUT/via_batch_nd.json" > /dev/null
+cmp "$OUT/via_serve_nd.json" "$OUT/via_batch_nd.json"
+
 # Unknown tickets are refused (exit 1), bad flags are usage errors (2).
 set +e
 "$CLIENT" fetch --socket "$SOCK" \
@@ -98,7 +113,12 @@ set +e
 "$CLIENT" submit --socket "$SOCK" --trace "$OUT/missing.trace" \
     > /dev/null 2>&1
 [ $? -eq 2 ] || { echo "missing trace: expected exit 2" >&2; exit 1; }
+# Out-of-range values are refused at submit, before any worker runs them.
+"$CLIENT" submit --socket "$SOCK" --trace "$OUT/cg.original.trace" \
+    --bandwidth 0 > /dev/null 2>&1
+[ $? -eq 2 ] || { echo "bandwidth 0: expected exit 2" >&2; exit 1; }
 set -e
+"$CLIENT" stats --socket "$SOCK" | grep -q '"deaths":0'
 
 # --- 7a. SIGTERM drains with exit 5 -----------------------------------------
 

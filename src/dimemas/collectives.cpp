@@ -1,6 +1,7 @@
 #include "dimemas/collectives.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "common/expect.hpp"
 
@@ -28,6 +29,15 @@ const char* collective_algo_name(CollectiveAlgo algo) {
       return "recursive-doubling";
   }
   OSIM_UNREACHABLE("bad CollectiveAlgo");
+}
+
+CollectiveAlgo parse_collective_algo(std::string_view name) {
+  for (const CollectiveAlgo algo :
+       {CollectiveAlgo::kBinomialTree, CollectiveAlgo::kLinear,
+        CollectiveAlgo::kRecursiveDoubling}) {
+    if (name == collective_algo_name(algo)) return algo;
+  }
+  throw UsageError("unknown collective algorithm: " + std::string(name));
 }
 
 bool has_collectives(const Trace& trace) {

@@ -24,6 +24,8 @@
 // chunk tags generated by the overlap transformation.
 #pragma once
 
+#include <string_view>
+
 #include "trace/trace.hpp"
 
 namespace osim::dimemas {
@@ -44,6 +46,10 @@ enum class CollectiveAlgo : std::uint8_t {
 };
 
 const char* collective_algo_name(CollectiveAlgo algo);
+
+/// Inverse of collective_algo_name. Throws osim::UsageError on any other
+/// spelling (the name comes from a command line or a service request).
+CollectiveAlgo parse_collective_algo(std::string_view name);
 
 /// True if any rank stream contains a GlobalOp record.
 bool has_collectives(const trace::Trace& trace);

@@ -1,4 +1,5 @@
-// Scenario lowering — the single app→trace→transform→replay entry point.
+// Scenario lowering — the single app→trace→transform→replay entry point,
+// and the single flag-level description of a scenario.
 //
 // Every bench and tool used to hand-roll the same glue: lower the annotated
 // trace (original, or overlap-transformed with measured/ideal patterns),
@@ -6,14 +7,22 @@
 // and run_scenario() owns the replay call; nothing above the pipeline layer
 // calls dimemas::replay directly (scripts/check.sh enforces this for bench/
 // and src/analysis/).
+//
+// ScenarioSpec does the same for the command line and the service: one
+// flag registration, one lowering to Platform/ReplayOptions (with range
+// checks), one fingerprint and one report path. The batch tools and the
+// service both go through them, so a service report is the batch report
+// byte for byte and both address the same store objects (scripts/check.sh
+// keeps new copies of the lowering out of tools/ and src/serve/).
 #pragma once
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
-#include "faults/model.hpp"
+#include "common/flags.hpp"
 #include "overlap/options.hpp"
 #include "pipeline/context.hpp"
+#include "store/store.hpp"
 #include "trace/annotated.hpp"
 
 namespace osim::pipeline {
@@ -40,33 +49,73 @@ ReplayContext make_context(const trace::AnnotatedTrace& annotated,
 /// result comes from above the dimemas layer.
 dimemas::SimResult run_scenario(const ReplayContext& context);
 
-/// One point on a fault-injection sweep axis: a labelled fault model. An
-/// inert model (enabled() == false) represents the fault-free baseline and
-/// leaves the derived context's fingerprint untouched.
-struct FaultScenario {
-  std::string label;
-  faults::FaultModel model;
+/// One scenario given by flags: a trace file plus the platform and replay
+/// option flags osim_replay, osim_inspect, osim_client and the analysis
+/// service share (serve::ScenarioSpec is this type). Defaults are the
+/// tools' flag defaults.
+struct ScenarioSpec {
+  std::string trace_path;                     // --trace
+  double bandwidth = 250.0;                   // --bandwidth, MB/s
+  double latency = 4.0;                       // --latency, us
+  std::int64_t buses = 0;                     // --buses (0 = unlimited)
+  std::int64_t ports = 1;                     // --ports
+  std::int64_t eager = 16 * 1024;             // --eager, bytes
+  std::string collectives = "binomial-tree";  // --collectives
+  std::string fault_spec;                     // --faults ('' = none)
+  std::string progress_spec;                  // --progress ('' = offload)
+
+  friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
+
+  /// Registers the scenario flags above; `trace_help` is --trace's help
+  /// text (the one flag whose role differs per tool).
+  void register_flags(Flags& flags, const std::string& trace_help);
 };
 
-/// The fault axis of a sweep: `base` crossed with each scenario, in
-/// scenario order. Derived contexts share the base's validated trace, so
-/// the cross costs one options rehash per scenario; each result caches and
-/// parallelizes in a Study like any other context.
-std::vector<ReplayContext> cross_faults(
-    const ReplayContext& base, const std::vector<FaultScenario>& scenarios);
+/// The platform `spec` replays on for a trace of `num_ranks` ranks. A
+/// `platform_file` overrides the network flags; it must have at least
+/// `num_ranks` nodes (osim::Error otherwise). Without one, the flags must
+/// lie in the ranges platform files enforce — bandwidth finite and > 0,
+/// latency finite and >= 0, buses >= 0, ports > 0, eager >= 0 — or
+/// osim::UsageError is thrown.
+dimemas::Platform lower_platform(const ScenarioSpec& spec,
+                                 std::int32_t num_ranks,
+                                 const std::string& platform_file = {});
 
-/// One point on a progress-regime sweep axis: a labelled progress model.
-/// An inert model (the offload default) represents the baseline and leaves
-/// the derived context's fingerprint untouched.
-struct ProgressScenario {
-  std::string label;
-  dimemas::ProgressModel model;
+/// The replay options `spec` describes (collective algorithm, fault and
+/// progress models), with metrics collection — which run reports need — as
+/// given. Throws osim::UsageError on an unknown or malformed spelling.
+dimemas::ReplayOptions lower_options(const ScenarioSpec& spec,
+                                     bool collect_metrics);
+
+/// What fingerprinting a scenario needs to know about its trace file, so
+/// a caller can address many scenarios over one trace without holding it.
+struct TraceInfo {
+  Fingerprint fingerprint;  // fingerprint_of() the trace
+  std::int32_t num_ranks = 0;
+  std::uint64_t file_bytes = 0;  // on-disk size (admission accounting)
 };
 
-/// The progress axis of a sweep, shaped exactly like cross_faults: `base`
-/// crossed with each regime, in scenario order, sharing the validated
-/// trace.
-std::vector<ReplayContext> cross_progress(
-    const ReplayContext& base, const std::vector<ProgressScenario>& scenarios);
+/// Reads and fingerprints `path` (either trace format). Throws osim::Error
+/// when the file is unreadable or malformed.
+TraceInfo probe_trace(const std::string& path);
+
+/// The fingerprint of `spec` lowered against `trace`: bit-identical to the
+/// ReplayContext::fingerprint() of the same inputs, hence the address of
+/// the scenario's store objects. `collect_metrics` is hashed in, so the
+/// summary replay osim_replay --cache-dir stores and osim_inspect
+/// --fingerprint prints (off) and the report replay a service ticket names
+/// (on) are different scenarios for the same flags.
+Fingerprint spec_fingerprint(const ScenarioSpec& spec, const TraceInfo& trace,
+                             bool collect_metrics,
+                             const std::string& platform_file = {});
+
+/// The run report of a finished replay of `trace` on `platform`: the
+/// trace's lint block (through `store`'s lint cache when non-null) next to
+/// the replay. osim_replay --report and the service's workers both render
+/// reports here, which is what makes their bytes comparable with cmp(1).
+std::string scenario_report(const dimemas::SimResult& result,
+                            const trace::Trace& trace,
+                            const dimemas::Platform& platform,
+                            store::ScenarioStore* store);
 
 }  // namespace osim::pipeline

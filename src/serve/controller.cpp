@@ -108,7 +108,7 @@ struct Controller::Impl {
   struct ProbedTrace {
     std::int64_t mtime_ns = 0;
     std::uint64_t size = 0;
-    TraceInfo info;
+    pipeline::TraceInfo info;
   };
   std::map<std::string, ProbedTrace> trace_cache;
 
@@ -382,7 +382,8 @@ struct Controller::Impl {
 
   // --- trace probing --------------------------------------------------------
 
-  const TraceInfo* probe_cached(const std::string& path, std::string* error) {
+  const pipeline::TraceInfo* probe_cached(const std::string& path,
+                                          std::string* error) {
     namespace fs = std::filesystem;
     std::error_code ec;
     const auto mtime = fs::last_write_time(path, ec);
@@ -405,7 +406,7 @@ struct Controller::Impl {
       ProbedTrace probed;
       probed.mtime_ns = mtime_ns;
       probed.size = size;
-      probed.info = probe_trace(path);
+      probed.info = pipeline::probe_trace(path);
       return &(trace_cache[path] = probed).info;
     } catch (const std::exception& e) {
       *error = e.what();
@@ -508,7 +509,8 @@ struct Controller::Impl {
     std::set<std::string> fresh_seen;  // dedupe within the submission itself
     for (const ScenarioSpec& spec : specs) {
       std::string error;
-      const TraceInfo* info = probe_cached(spec.trace_path, &error);
+      const pipeline::TraceInfo* info =
+          probe_cached(spec.trace_path, &error);
       if (info == nullptr) {
         ++bad_requests;
         send_to(client,
@@ -519,7 +521,9 @@ struct Controller::Impl {
       r.spec = spec;
       r.trace_bytes = info->file_bytes;
       try {
-        r.ticket = spec_fingerprint(spec, *info);
+        // A ticket names the report replay (metrics on). Out-of-range or
+        // unknown values throw here, before any worker sees the job.
+        r.ticket = pipeline::spec_fingerprint(spec, *info, true);
       } catch (const std::exception& e) {
         ++bad_requests;
         send_to(client, ServerMessage(

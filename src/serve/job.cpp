@@ -1,18 +1,6 @@
 #include "serve/job.hpp"
 
-#include <filesystem>
-#include <utility>
-
 #include "common/crash_point.hpp"
-#include "common/expect.hpp"
-#include "dimemas/progress.hpp"
-#include "faults/spec.hpp"
-#include "lint/lint.hpp"
-#include "pipeline/context.hpp"
-#include "pipeline/lint_cache.hpp"
-#include "pipeline/report.hpp"
-#include "pipeline/scenario.hpp"
-#include "trace/binary_io.hpp"
 
 namespace osim::serve {
 
@@ -42,97 +30,25 @@ ScenarioSpec decode_spec(wire::Reader& reader) {
   return spec;
 }
 
-dimemas::Platform platform_for(const ScenarioSpec& spec,
-                               std::int32_t num_ranks) {
-  // Field-for-field the platform osim_replay builds from its flags (the
-  // no---platform-file branch); any drift here breaks the byte-identity
-  // contract with the batch tool's report.
-  dimemas::Platform platform;
-  platform.num_nodes = num_ranks;
-  platform.bandwidth_MBps = spec.bandwidth;
-  platform.latency_us = spec.latency;
-  platform.num_buses = static_cast<std::int32_t>(spec.buses);
-  platform.input_ports = static_cast<std::int32_t>(spec.ports);
-  platform.output_ports = static_cast<std::int32_t>(spec.ports);
-  platform.eager_threshold_bytes = static_cast<std::uint64_t>(spec.eager);
-  return platform;
-}
-
-dimemas::ReplayOptions options_for(const ScenarioSpec& spec) {
-  dimemas::ReplayOptions options;
-  options.collect_metrics = true;  // the service always builds the report
-  if (spec.collectives == "binomial-tree") {
-    options.collective_algo = dimemas::CollectiveAlgo::kBinomialTree;
-  } else if (spec.collectives == "linear") {
-    options.collective_algo = dimemas::CollectiveAlgo::kLinear;
-  } else if (spec.collectives == "recursive-doubling") {
-    options.collective_algo = dimemas::CollectiveAlgo::kRecursiveDoubling;
-  } else {
-    throw UsageError("unknown collective algorithm: " + spec.collectives);
-  }
-  if (!spec.fault_spec.empty()) {
-    options.faults = faults::parse_spec(spec.fault_spec);
-  }
-  if (!spec.progress_spec.empty()) {
-    options.progress = dimemas::parse_progress_spec(spec.progress_spec);
-  }
-  return options;
-}
-
-TraceInfo probe_trace(const std::string& path) {
-  const trace::Trace t = trace::read_any_file(path);
-  TraceInfo info;
-  info.fingerprint = pipeline::fingerprint_of(t);
-  info.num_ranks = t.num_ranks;
-  std::error_code ec;
-  const std::uintmax_t bytes = std::filesystem::file_size(path, ec);
-  info.file_bytes = ec ? 0 : static_cast<std::uint64_t>(bytes);
-  return info;
-}
-
-pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
-                                       const TraceInfo& trace) {
-  return pipeline::combined_fingerprint(trace.fingerprint,
-                                        platform_for(spec, trace.num_ranks),
-                                        options_for(spec));
-}
-
-JobOutcome run_job_on_trace(const ScenarioSpec& spec,
-                            const std::shared_ptr<const trace::Trace>& trace,
-                            store::ScenarioStore* store) {
+JobOutcome run_job(const ScenarioSpec& spec,
+                   const std::shared_ptr<const trace::Trace>& trace,
+                   store::ScenarioStore* store) {
   JobOutcome outcome;
   try {
     maybe_crash("serve.worker.job");
-    const dimemas::Platform platform = platform_for(spec, trace->num_ranks);
-    const pipeline::ReplayContext context(trace, platform, options_for(spec));
-    const dimemas::SimResult result = pipeline::run_scenario(context);
-    // The replay itself is not storable (collect_metrics contexts carry
-    // metrics the artifact format deliberately omits), but the lint block
-    // is pure trace analysis and caches exactly as in osim_replay.
-    lint::LintOptions lint_options;
-    lint_options.eager_threshold_bytes = platform.eager_threshold_bytes;
-    const lint::Report lint_report =
-        pipeline::lint_with_cache(*trace, lint_options, store);
-    outcome.report_json = pipeline::replay_report_json(
-        result, platform, trace->app.empty() ? "app" : trace->app,
-        &lint_report);
+    const dimemas::Platform platform =
+        pipeline::lower_platform(spec, trace->num_ranks);
+    const pipeline::ReplayContext context(
+        trace, platform, pipeline::lower_options(spec, true));
+    // The replay itself is not storable (collect_metrics results carry
+    // metrics the artifact format omits); the lint block caches.
+    outcome.report_json = pipeline::scenario_report(
+        pipeline::run_scenario(context), *trace, platform, store);
     outcome.ok = true;
   } catch (const std::exception& e) {
     outcome.error = e.what();
   }
   return outcome;
-}
-
-JobOutcome run_job(const ScenarioSpec& spec, store::ScenarioStore* store) {
-  try {
-    auto trace = std::make_shared<const trace::Trace>(
-        trace::read_any_file(spec.trace_path));
-    return run_job_on_trace(spec, trace, store);
-  } catch (const std::exception& e) {
-    JobOutcome outcome;
-    outcome.error = e.what();
-    return outcome;
-  }
 }
 
 std::string encode_job_request(const JobRequest& request) {

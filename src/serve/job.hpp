@@ -1,48 +1,31 @@
 // The unit of work the analysis service schedules: one scenario spec,
-// lowered to exactly the replay that `osim_replay --report` would run.
+// run to its run report.
 //
 // Byte-identity is the contract here. A report fetched from the service
-// must be bit-for-bit the document the batch tool writes for the same
-// trace and flags (scripts/serve_test.sh cmp's the two), so ScenarioSpec
-// carries the same fields as osim_replay's flag surface with the same
-// defaults, and run_job() follows the same path: read_any_file →
-// ReplayContext (validates once) → run_scenario → lint_with_cache →
-// replay_report_json. Anything the controller computes (fingerprints,
-// admission sizes) derives from the same spec, so the ticket a client
-// holds is the fingerprint the batch tools print.
+// must be bit-for-bit the document `osim_replay --report` writes for the
+// same trace and flags (scripts/serve_test.sh cmp's the two). Both sides
+// take the scenario as the one pipeline::ScenarioSpec and go through its
+// lowering (lower_platform/lower_options) and its report path
+// (scenario_report), so the two agree by construction. A ticket is
+// spec_fingerprint() of the report replay (metrics collection on), which
+// is why it differs from what `osim_inspect --fingerprint` prints for the
+// same flags: that is the summary replay `osim_replay --cache-dir` stores.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "dimemas/platform.hpp"
-#include "dimemas/replay.hpp"
 #include "pipeline/fingerprint.hpp"
+#include "pipeline/scenario.hpp"
 #include "serve/wire.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::serve {
 
-/// One scenario, by value: the trace file plus the platform/option flags
-/// of osim_replay, defaults matching that tool's flag defaults exactly.
-struct ScenarioSpec {
-  std::string trace_path;
-  double bandwidth = 250.0;                   // --bandwidth, MB/s
-  double latency = 4.0;                       // --latency, us
-  std::int64_t buses = 0;                     // --buses (0 = unlimited)
-  std::int64_t ports = 1;                     // --ports
-  std::int64_t eager = 16 * 1024;             // --eager, bytes
-  std::string collectives = "binomial-tree";  // --collectives
-  std::string fault_spec;                     // --faults ('' = none)
-  std::string progress_spec;                  // --progress ('' = offload)
-
-  friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
-};
+using ScenarioSpec = pipeline::ScenarioSpec;
 
 /// Wire body of a spec (serve/wire.hpp primitives); shared by the client
 /// RPC messages and the controller->worker job frames.
@@ -51,37 +34,6 @@ void encode_spec(std::string& out, const ScenarioSpec& spec);
 /// larger messages); leaves the reader poisoned on malformed input.
 ScenarioSpec decode_spec(wire::Reader& reader);
 
-/// The platform `spec` describes for a trace of `num_ranks` ranks —
-/// field-for-field what osim_replay builds from the same flags.
-dimemas::Platform platform_for(const ScenarioSpec& spec,
-                               std::int32_t num_ranks);
-
-/// The replay options `spec` describes, with collect_metrics on (the
-/// service always produces the full report). Throws osim::UsageError on an
-/// unknown collectives/faults/progress spelling — callers map that to
-/// kBadRequest before any replay happens.
-dimemas::ReplayOptions options_for(const ScenarioSpec& spec);
-
-/// What the controller needs to know about a trace file to fingerprint,
-/// batch and admission-check jobs against it without re-reading the file
-/// per request.
-struct TraceInfo {
-  pipeline::Fingerprint fingerprint;  // content fingerprint of the trace
-  std::int32_t num_ranks = 0;
-  std::uint64_t file_bytes = 0;  // on-disk size (admission accounting)
-};
-
-/// Reads and fingerprints `path` (either trace format). Throws osim::Error
-/// when the file is unreadable or malformed.
-TraceInfo probe_trace(const std::string& path);
-
-/// The scenario fingerprint of `spec` against a trace already probed:
-/// combined_fingerprint(trace, platform, options) — bit-identical to the
-/// fingerprint a ReplayContext built from the same inputs carries, so
-/// service tickets address the same store objects as batch runs.
-pipeline::Fingerprint spec_fingerprint(const ScenarioSpec& spec,
-                                       const TraceInfo& trace);
-
 /// Outcome of one job, as the worker reports it.
 struct JobOutcome {
   bool ok = false;
@@ -89,18 +41,14 @@ struct JobOutcome {
   std::string error;        // when !ok
 };
 
-/// Runs one scenario to its JSON run report, the osim_replay --report way.
-/// `store`, when non-null, serves/fills the lint cache and receives the
-/// replay artifact (write-behind, best effort). Never throws: failures
-/// come back as JobOutcome::error. Crash point "serve.worker.job" fires at
-/// entry (worker-death injection for the retry tests).
-JobOutcome run_job(const ScenarioSpec& spec, store::ScenarioStore* store);
-
-/// Same, against a caller-cached validated trace (the batching path: a
-/// worker handed N scenarios over one trace validates it once).
-JobOutcome run_job_on_trace(const ScenarioSpec& spec,
-                            const std::shared_ptr<const trace::Trace>& trace,
-                            store::ScenarioStore* store);
+/// Runs one scenario over its already-read trace to its JSON run report
+/// (a worker handed N scenarios over one trace reads it once). `store`,
+/// when non-null, serves/fills the lint cache. Never throws: failures come
+/// back as JobOutcome::error. Crash point "serve.worker.job" fires at entry
+/// (worker-death injection for the retry tests).
+JobOutcome run_job(const ScenarioSpec& spec,
+                   const std::shared_ptr<const trace::Trace>& trace,
+                   store::ScenarioStore* store);
 
 // --- controller <-> worker frames -------------------------------------------
 //

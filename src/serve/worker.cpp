@@ -109,7 +109,7 @@ int run_worker_loop(int fd, const std::string& cache_dir) {
       }
       if (cached_trace) {
         const JobOutcome outcome =
-            run_job_on_trace(request->spec, cached_trace, store.get());
+            run_job(request->spec, cached_trace, store.get());
         result.ok = outcome.ok;
         result.report_json = outcome.report_json;
         result.error = outcome.error;

@@ -5,6 +5,7 @@
 #include <map>
 #include <set>
 
+#include "common/expect.hpp"
 #include "dimemas/collectives.hpp"
 #include "dimemas/replay.hpp"
 #include "trace/trace.hpp"
@@ -224,6 +225,16 @@ TEST(CollectiveAlgos, Names) {
   EXPECT_STREQ(collective_algo_name(CollectiveAlgo::kLinear), "linear");
   EXPECT_STREQ(collective_algo_name(CollectiveAlgo::kRecursiveDoubling),
                "recursive-doubling");
+  // parse_collective_algo is the exact inverse over every algorithm...
+  for (const CollectiveAlgo algo :
+       {CollectiveAlgo::kBinomialTree, CollectiveAlgo::kLinear,
+        CollectiveAlgo::kRecursiveDoubling}) {
+    EXPECT_EQ(parse_collective_algo(collective_algo_name(algo)), algo);
+  }
+  // ...and refuses anything else as a usage error.
+  EXPECT_THROW(parse_collective_algo("telepathy"), UsageError);
+  EXPECT_THROW(parse_collective_algo(""), UsageError);
+  EXPECT_THROW(parse_collective_algo("Linear"), UsageError);
 }
 
 TEST(CollectiveAlgos, AllAlgorithmsValidate) {

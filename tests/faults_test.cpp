@@ -306,24 +306,5 @@ TEST(FaultReports, StudyReportCarriesCounters) {
   EXPECT_EQ(records[0].fault_wait_s, records[1].fault_wait_s);
 }
 
-// --- scenario axis ----------------------------------------------------------
-
-TEST(FaultScenarios, CrossFaultsDerivesContexts) {
-  const pipeline::ReplayContext base(golden_trace(), golden_platform());
-  const std::vector<pipeline::FaultScenario> axis = {
-      {"clean", faults::FaultModel{}},
-      {"lossy", faults::parse_spec("loss=0.1")},
-      {"degraded", faults::parse_spec("degrade=any-any,bw=0.5")},
-  };
-  const std::vector<pipeline::ReplayContext> derived =
-      pipeline::cross_faults(base, axis);
-  ASSERT_EQ(derived.size(), 3u);
-  EXPECT_EQ(derived[0].fingerprint().lo, base.fingerprint().lo);
-  EXPECT_FALSE(derived[1].fingerprint().lo == base.fingerprint().lo &&
-               derived[1].fingerprint().hi == base.fingerprint().hi);
-  EXPECT_FALSE(derived[2].fingerprint().lo == derived[1].fingerprint().lo &&
-               derived[2].fingerprint().hi == derived[1].fingerprint().hi);
-}
-
 }  // namespace
 }  // namespace osim

@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -15,11 +17,14 @@
 
 #include "analysis/bandwidth.hpp"
 #include "common/expect.hpp"
+#include "common/flags.hpp"
+#include "dimemas/platform_io.hpp"
 #include "metrics/replay_metrics.hpp"
 #include "pipeline/context.hpp"
 #include "pipeline/report.hpp"
 #include "pipeline/scenario.hpp"
 #include "pipeline/study.hpp"
+#include "trace/binary_io.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::pipeline {
@@ -173,6 +178,166 @@ TEST(Scenario, VariantsProduceDistinctContexts) {
   Study study;
   EXPECT_DOUBLE_EQ(run_scenario(original).makespan,
                    study.makespan(original));
+}
+
+// --- ScenarioSpec: one flag set, one lowering, one fingerprint --------------
+
+std::string scenario_dir() {
+  const std::string dir = ::testing::TempDir() + "/osim_pipeline_scenario";
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+TEST(ScenarioSpec, FlagsFillEveryField) {
+  ScenarioSpec spec;
+  Flags flags("scenario");
+  spec.register_flags(flags, "trace file");
+  const char* const argv[] = {
+      "tool",          "--trace",    "x.trace",          "--bandwidth",
+      "125",           "--latency",  "2",                "--buses",
+      "3",             "--ports",    "2",                "--eager",
+      "4096",          "--faults",   "seed=7;loss=0.02", "--progress",
+      "app",           "--collectives", "linear"};
+  ASSERT_TRUE(flags.parse(static_cast<int>(std::size(argv)), argv));
+  ScenarioSpec expected;
+  expected.trace_path = "x.trace";
+  expected.bandwidth = 125.0;
+  expected.latency = 2.0;
+  expected.buses = 3;
+  expected.ports = 2;
+  expected.eager = 4096;
+  expected.collectives = "linear";
+  expected.fault_spec = "seed=7;loss=0.02";
+  expected.progress_spec = "app";
+  EXPECT_EQ(spec, expected);
+}
+
+TEST(ScenarioSpec, DefaultsLowerToTheDefaultScenario) {
+  const ScenarioSpec spec;
+  const dimemas::Platform platform = lower_platform(spec, 4);
+  EXPECT_EQ(platform.num_nodes, 4);
+  EXPECT_EQ(platform.bandwidth_MBps, 250.0);
+  EXPECT_EQ(platform.latency_us, 4.0);
+  EXPECT_EQ(platform.num_buses, 0);
+  EXPECT_EQ(platform.input_ports, 1);
+  EXPECT_EQ(platform.output_ports, 1);
+  EXPECT_EQ(platform.eager_threshold_bytes, 16u * 1024u);
+  // The default options are the default ReplayOptions, apart from the
+  // metrics switch the caller chooses.
+  const Fingerprint trace_fp = fingerprint_of(ring_trace(4, 1));
+  EXPECT_EQ(combined_fingerprint(trace_fp, platform, lower_options(spec, false)),
+            combined_fingerprint(trace_fp, platform, {}));
+  dimemas::ReplayOptions metrics;
+  metrics.collect_metrics = true;
+  EXPECT_EQ(combined_fingerprint(trace_fp, platform, lower_options(spec, true)),
+            combined_fingerprint(trace_fp, platform, metrics));
+}
+
+TEST(ScenarioSpec, FingerprintIsTheContextFingerprint) {
+  const trace::Trace t = ring_trace(4, 2);
+  const std::string path = scenario_dir() + "/ring.trace";
+  trace::write_binary_file(t, path);
+  const TraceInfo info = probe_trace(path);
+  EXPECT_EQ(info.num_ranks, 4);
+  EXPECT_EQ(info.fingerprint, fingerprint_of(t));
+
+  ScenarioSpec tuned;
+  tuned.bandwidth = 125.0;
+  tuned.buses = 2;
+  tuned.collectives = "recursive-doubling";
+  tuned.fault_spec = "seed=7;loss=0.02";
+  tuned.progress_spec = "thread,tax=0.5";
+  for (const ScenarioSpec& spec : {ScenarioSpec{}, tuned}) {
+    for (const bool collect_metrics : {false, true}) {
+      const ReplayContext context(t, lower_platform(spec, t.num_ranks),
+                                  lower_options(spec, collect_metrics));
+      EXPECT_EQ(spec_fingerprint(spec, info, collect_metrics),
+                context.fingerprint());
+    }
+    // A report replay (a service ticket) is not the summary replay the
+    // batch store holds for the same flags.
+    EXPECT_NE(spec_fingerprint(spec, info, false),
+              spec_fingerprint(spec, info, true));
+  }
+  EXPECT_NE(spec_fingerprint(ScenarioSpec{}, info, false),
+            spec_fingerprint(tuned, info, false));
+}
+
+TEST(ScenarioSpec, OutOfRangeValuesAreUsageErrors) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr std::int64_t kTooWide = std::int64_t{1} << 31;
+  auto expect_refused = [](ScenarioSpec spec, const char* what) {
+    EXPECT_THROW(lower_platform(spec, 4), UsageError) << what;
+  };
+  ScenarioSpec spec;
+  for (const double bandwidth : {0.0, -1.0, kNaN, kInf}) {
+    spec = {};
+    spec.bandwidth = bandwidth;
+    expect_refused(spec, "bandwidth");
+  }
+  for (const double latency : {-1.0, kNaN, kInf}) {
+    spec = {};
+    spec.latency = latency;
+    expect_refused(spec, "latency");
+  }
+  for (const std::int64_t buses : {std::int64_t{-1}, kTooWide}) {
+    spec = {};
+    spec.buses = buses;
+    expect_refused(spec, "buses");
+  }
+  for (const std::int64_t ports : {std::int64_t{0}, std::int64_t{-1}, kTooWide}) {
+    spec = {};
+    spec.ports = ports;
+    expect_refused(spec, "ports");
+  }
+  spec = {};
+  spec.eager = -1;
+  expect_refused(spec, "eager");
+
+  // The edges of each range are accepted.
+  spec = {};
+  spec.latency = 0.0;
+  spec.buses = kTooWide - 1;
+  spec.ports = kTooWide - 1;
+  spec.eager = 0;
+  EXPECT_NO_THROW(lower_platform(spec, 4));
+
+  // Unknown spellings of the option flags are usage errors too.
+  spec = {};
+  spec.collectives = "telepathy";
+  EXPECT_THROW(lower_options(spec, false), UsageError);
+  spec = {};
+  spec.fault_spec = "loss=7";
+  EXPECT_THROW(lower_options(spec, false), UsageError);
+  spec = {};
+  spec.progress_spec = "bogus";
+  EXPECT_THROW(lower_options(spec, false), UsageError);
+}
+
+TEST(ScenarioSpec, PlatformFileOverridesTheNetworkFlags) {
+  dimemas::Platform file_platform = ring_platform(4);
+  file_platform.bandwidth_MBps = 300.0;
+  file_platform.num_buses = 3;
+  const std::string path = scenario_dir() + "/four.cfg";
+  dimemas::write_platform_file(file_platform, path);
+
+  ScenarioSpec spec;
+  spec.bandwidth = 0.0;  // ignored: the file overrides the flags
+  const dimemas::Platform platform = lower_platform(spec, 2, path);
+  EXPECT_EQ(platform.num_nodes, 4);
+  EXPECT_EQ(platform.bandwidth_MBps, 300.0);
+  EXPECT_EQ(platform.num_buses, 3);
+
+  // Too few nodes for the trace is a runtime error, not a usage error.
+  try {
+    lower_platform(spec, 8, path);
+    ADD_FAILURE() << "a 4-node platform accepted an 8-rank trace";
+  } catch (const UsageError&) {
+    ADD_FAILURE() << "too few nodes reported as a usage error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("4 nodes"), std::string::npos);
+  }
 }
 
 // --- Study: determinism -----------------------------------------------------

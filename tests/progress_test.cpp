@@ -313,26 +313,6 @@ TEST(ProgressReports, StudyReportCarriesProgressWait) {
             std::string::npos);
 }
 
-// --- scenario axis ----------------------------------------------------------
-
-TEST(ProgressScenarios, CrossProgressDerivesContexts) {
-  const pipeline::ReplayContext base(golden_trace(), golden_platform());
-  const std::vector<pipeline::ProgressScenario> axis = {
-      {"offload", dimemas::ProgressModel{}},
-      {"app", dimemas::parse_progress_spec("app")},
-      {"thread", dimemas::parse_progress_spec("thread")},
-  };
-  const std::vector<pipeline::ReplayContext> derived =
-      pipeline::cross_progress(base, axis);
-  ASSERT_EQ(derived.size(), 3u);
-  EXPECT_EQ(derived[0].fingerprint().lo, base.fingerprint().lo);
-  EXPECT_EQ(derived[0].fingerprint().hi, base.fingerprint().hi);
-  EXPECT_FALSE(derived[1].fingerprint().lo == base.fingerprint().lo &&
-               derived[1].fingerprint().hi == base.fingerprint().hi);
-  EXPECT_FALSE(derived[2].fingerprint().lo == derived[1].fingerprint().lo &&
-               derived[2].fingerprint().hi == derived[1].fingerprint().hi);
-}
-
 // --- pinned golden: the advanced-send win under app-driven progress ---------
 
 TEST(ProgressGolden, AppDrivenErasesAdvancedSendWin) {

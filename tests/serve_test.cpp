@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -413,7 +415,10 @@ TEST(Service, SubmitFetchMatchesDirectRun) {
 
   // The service's report must be the byte-identical osim_replay --report
   // document for the same trace and flags.
-  const JobOutcome direct = run_job(spec, nullptr);
+  const JobOutcome direct = run_job(
+      spec,
+      std::make_shared<const trace::Trace>(trace::read_any_file(trace_path)),
+      nullptr);
   ASSERT_TRUE(direct.ok) << direct.error;
   EXPECT_EQ(via_service, direct.report_json);
 
@@ -663,6 +668,65 @@ TEST(Service, WorkerSigkillIsRetriedOnAFreshWorker) {
   const std::string stats = fetch_stats(connection);
   EXPECT_NE(stats.find("\"deaths\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"replays_completed\":2"), std::string::npos) << stats;
+  EXPECT_EQ(service.shutdown(), kExitOk);
+}
+
+TEST(Service, OutOfRangeValuesAreBadRequestsWithoutWorkerDeaths) {
+  const std::string dir = fresh_dir("ranges");
+  const std::string trace_path = write_ring_trace(dir, 2, 1);
+
+  // Forked workers: a value that reached the network model unchecked
+  // would abort a worker (three times, then fail the job) instead of
+  // being refused at submit.
+  ControllerOptions options;
+  options.socket_path = dir + "/osim.sock";
+  options.workers = 1;
+  options.fork_workers = true;
+  options.serve_binary = OSIM_SERVE_BIN;
+  TestService service(options);
+  ClientConnection connection = service.connect();
+
+  std::vector<ScenarioSpec> bad;
+  bad.push_back(sample_spec(trace_path, 0.0));
+  bad.push_back(sample_spec(trace_path, -3.0));
+  bad.push_back(
+      sample_spec(trace_path, std::numeric_limits<double>::quiet_NaN()));
+  bad.push_back(
+      sample_spec(trace_path, std::numeric_limits<double>::infinity()));
+  bad.push_back(sample_spec(trace_path, 250.0));
+  bad.back().ports = 0;
+  bad.push_back(sample_spec(trace_path, 250.0));
+  bad.back().buses = -3;
+  bad.push_back(sample_spec(trace_path, 250.0));
+  bad.back().latency = -4.0;
+  bad.push_back(sample_spec(trace_path, 250.0));
+  bad.back().eager = -1;
+  bad.push_back(sample_spec(trace_path, 250.0));
+  bad.back().ports = std::int64_t{1} << 40;  // does not fit the platform
+  for (const ScenarioSpec& spec : bad) {
+    const ServerMessage reply =
+        connection.call(ClientMessage(SubmitScenario{spec}));
+    const auto* error = std::get_if<ErrorReply>(&reply);
+    ASSERT_NE(error, nullptr);
+    EXPECT_EQ(error->code, RpcErrorCode::kBadRequest) << error->message;
+  }
+  // A study is checked per bandwidth, and refused as a whole.
+  SubmitStudy study;
+  study.base = sample_spec(trace_path, 250.0);
+  study.bandwidths = {250.0, 0.0};
+  const ServerMessage reply = connection.call(ClientMessage(study));
+  const auto* error = std::get_if<ErrorReply>(&reply);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, RpcErrorCode::kBadRequest);
+
+  // Nothing reached a worker: no deaths, and the service still replays.
+  EXPECT_FALSE(submit_and_fetch(connection, sample_spec(trace_path, 250.0))
+                   .empty());
+  const std::string stats = fetch_stats(connection);
+  EXPECT_NE(stats.find("\"deaths\":0"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"replays_completed\":1"), std::string::npos)
+      << stats;
+  EXPECT_NE(stats.find("\"bad_requests\":10"), std::string::npos) << stats;
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
 

@@ -199,10 +199,12 @@ int main(int argc, char** argv) try {
       // Non-offload progress regimes exercise the gated hot path (pending
       // MPI queues, handshake hops), so the study throughput number also
       // covers the progress-engine axis.
-      scenarios.push_back(
-          w.overlapped.with_progress(dimemas::parse_progress_spec("app")));
-      scenarios.push_back(
-          w.overlapped.with_progress(dimemas::parse_progress_spec("thread")));
+      for (const dimemas::ProgressRegime regime :
+           {dimemas::ProgressRegime::kApplicationDriven,
+            dimemas::ProgressRegime::kProgressThread}) {
+        scenarios.push_back(
+            w.overlapped.with_progress(dimemas::ProgressModel{regime}));
+      }
     }
     const Clock::time_point start = Clock::now();
     study.map(scenarios, [&study](const pipeline::ReplayContext& context) {

@@ -34,13 +34,10 @@
 #include "common/signals.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
-#include "dimemas/platform_io.hpp"
-#include "dimemas/progress.hpp"
-#include "faults/spec.hpp"
 #include "paraver/paraver.hpp"
 #include "pipeline/context.hpp"
-#include "pipeline/lint_cache.hpp"
 #include "pipeline/report.hpp"
+#include "pipeline/scenario.hpp"
 #include "pipeline/study.hpp"
 #include "store/format.hpp"
 #include "store/store.hpp"
@@ -49,51 +46,29 @@
 int main(int argc, char** argv) try {
   using namespace osim;
   PerfRecorder perf("osim_replay");
-  std::string trace_path;
+  pipeline::ScenarioSpec spec;
   std::string platform_path;
   std::string prv_base;
-  double bandwidth = 250.0;
-  double latency = 4.0;
-  std::int64_t buses = 0;
-  std::int64_t ports = 1;
-  std::int64_t eager = 16 * 1024;
   bool timeline = false;
   bool per_rank = false;
   bool profile = false;
   bool critpath = false;
-  std::string collectives = "binomial-tree";
-  std::string fault_spec;
-  std::string progress_spec;
   bool recover = false;
   std::int64_t timeline_width = 100;
   double scenario_timeout = 0.0;
   RunOptions run;
 
   Flags flags("osim_replay: replay a trace file on a configurable platform");
-  flags.add("trace", &trace_path, "trace file to replay (required)");
+  spec.register_flags(flags, "trace file to replay (required)");
   flags.add("platform", &platform_path,
             "platform file; overrides the individual network flags");
-  flags.add("bandwidth", &bandwidth, "link bandwidth in MB/s");
-  flags.add("latency", &latency, "per-message latency in us");
-  flags.add("buses", &buses, "global buses (0 = unlimited)");
-  flags.add("ports", &ports, "input/output ports per node");
-  flags.add("eager", &eager, "eager protocol threshold in bytes");
   flags.add("timeline", &timeline, "render the terminal Gantt chart");
   flags.add("timeline-width", &timeline_width, "timeline width in columns");
   flags.add("per-rank", &per_rank, "print per-rank statistics");
   flags.add("profile", &profile, "print the per-rank state profile");
   flags.add("critical-path", &critpath,
             "print the critical-path composition");
-  flags.add("collectives", &collectives,
-            "collective algorithm: binomial-tree | linear | "
-            "recursive-doubling");
   flags.add("prv", &prv_base, "write a Paraver bundle to <prv>.prv/.pcf/.row");
-  flags.add("faults", &fault_spec,
-            "fault-injection spec, e.g. 'seed=7;loss=0.02;degrade=0-1,"
-            "bw=0.5' (see faults/spec.hpp for the grammar)");
-  flags.add("progress", &progress_spec,
-            "MPI progress model: 'offload' (default), 'app', or "
-            "'thread[,tax=F]' (see dimemas/progress.hpp for the grammar)");
   flags.add("recover", &recover,
             "salvage a damaged trace instead of rejecting it (exit code 4 "
             "when records were lost)");
@@ -106,6 +81,7 @@ int main(int argc, char** argv) try {
                      "occupancy, protocol counters) to this path");
   if (!flags.parse(argc, argv)) return 0;
   const std::string& report_path = run.report;
+  const std::string& trace_path = spec.trace_path;
 
   if (trace_path.empty()) throw UsageError("--trace is required");
   trace::Trace t;
@@ -136,41 +112,13 @@ int main(int argc, char** argv) try {
     }
   }
 
-  dimemas::Platform platform;
-  if (!platform_path.empty()) {
-    platform = dimemas::read_platform_file(platform_path);
-    if (platform.num_nodes < t.num_ranks) {
-      throw Error(strprintf("platform has %d nodes but the trace needs %d",
-                            platform.num_nodes, t.num_ranks));
-    }
-  } else {
-    platform.num_nodes = t.num_ranks;
-    platform.bandwidth_MBps = bandwidth;
-    platform.latency_us = latency;
-    platform.num_buses = static_cast<std::int32_t>(buses);
-    platform.input_ports = static_cast<std::int32_t>(ports);
-    platform.output_ports = static_cast<std::int32_t>(ports);
-    platform.eager_threshold_bytes = static_cast<std::uint64_t>(eager);
-  }
-
-  dimemas::ReplayOptions options;
+  const dimemas::Platform platform =
+      pipeline::lower_platform(spec, t.num_ranks, platform_path);
+  dimemas::ReplayOptions options = pipeline::lower_options(
+      spec, !report_path.empty() || !prv_base.empty());
   options.record_timeline =
       timeline || profile || critpath || !prv_base.empty();
   options.record_comms = !prv_base.empty();
-  options.collect_metrics = !report_path.empty() || !prv_base.empty();
-  if (collectives == "binomial-tree") {
-    options.collective_algo = dimemas::CollectiveAlgo::kBinomialTree;
-  } else if (collectives == "linear") {
-    options.collective_algo = dimemas::CollectiveAlgo::kLinear;
-  } else if (collectives == "recursive-doubling") {
-    options.collective_algo = dimemas::CollectiveAlgo::kRecursiveDoubling;
-  } else {
-    throw UsageError("unknown collective algorithm: " + collectives);
-  }
-  if (!fault_spec.empty()) options.faults = faults::parse_spec(fault_spec);
-  if (!progress_spec.empty()) {
-    options.progress = dimemas::parse_progress_spec(progress_spec);
-  }
   // --scenario-timeout arms a wall-clock watchdog and turns SIGINT/SIGTERM
   // into a cooperative drain instead of an abort. The token is not part of
   // the scenario fingerprint, so a supervised replay shares store objects
@@ -297,15 +245,8 @@ int main(int argc, char** argv) try {
   if (!report_path.empty()) {
     // The report embeds the trace's lint block (static analysis next to
     // the replay it predicts), served from the store when warm.
-    lint::LintOptions lint_options;
-    lint_options.eager_threshold_bytes = platform.eager_threshold_bytes;
-    const lint::Report lint_report =
-        pipeline::lint_with_cache(t, lint_options, cache.get());
-    pipeline::write_report(
-        report_path,
-        pipeline::replay_report_json(result, platform,
-                                     t.app.empty() ? "app" : t.app,
-                                     &lint_report));
+    pipeline::write_report(report_path, pipeline::scenario_report(
+                                            result, t, platform, cache.get()));
     std::printf("run report written to %s\n", report_path.c_str());
   }
   perf.add("makespan_s", result.makespan);
