@@ -3,9 +3,11 @@
 #
 #   1. layering greps: nothing in bench/ or src/analysis/ may call
 #      dimemas::replay directly — every replay goes through the
-#      pipeline::ReplayContext / Study API — and nothing in tools/ or
+#      pipeline::ReplayContext / Study API — nothing in tools/ or
 #      src/serve/ may lower scenario flags by hand — every Platform /
-#      ReplayOptions built from flags comes from pipeline::ScenarioSpec;
+#      ReplayOptions built from flags comes from pipeline::ScenarioSpec —
+#      and only ScenarioStore::fold() may run the store's full index
+#      reconcile;
 #   2. full build under AddressSanitizer + UndefinedBehaviorSanitizer (or
 #      ThreadSanitizer with 'thread', or standalone UBSan with 'undefined'
 #      as the second argument) and the full test suite;
@@ -70,6 +72,23 @@ if grep -rnE --include='*.cpp' --include='*.hpp' \
   exit 1
 fi
 echo "scenario OK (one lowering, in src/pipeline/scenario.cpp)"
+
+# Constant-cost store access: a load hit or a save appends one record to
+# index.log; only ScenarioStore::fold() (stats(), gc(), or an access that
+# finds the log as long as the index) reads the whole index and walks the
+# object tree. A reconciled_index() call in any other function of
+# src/store/store.cpp brings back an O(store size) access.
+if awk '/^[A-Za-z_].*\(/ && !/;[[:space:]]*$/ { fn = $0 }
+        /reconciled_index\(/ && !/ScenarioStore::reconciled_index\(\)/ &&
+        fn !~ /ScenarioStore::fold\(\)/ {
+          print FILENAME ":" FNR ": " $0; bad = 1
+        }
+        END { exit !bad }' "$ROOT/src/store/store.cpp"; then
+  echo "error: reconciled_index() called outside ScenarioStore::fold();" \
+       "store accesses append to index.log instead" >&2
+  exit 1
+fi
+echo "store OK (the full index reconcile runs only in ScenarioStore::fold)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

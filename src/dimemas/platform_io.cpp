@@ -1,5 +1,6 @@
 #include "dimemas/platform_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -82,13 +83,20 @@ Platform read_platform(std::istream& in) {
       }
     } else if (key == "bandwidth_mbps") {
       p.bandwidth_MBps = as_double();
-      if (p.bandwidth_MBps <= 0) fail("bandwidth must be positive");
+      if (!std::isfinite(p.bandwidth_MBps) || p.bandwidth_MBps <= 0) {
+        fail("bandwidth must be a finite number > 0");
+      }
     } else if (key == "latency_us") {
       p.latency_us = as_double();
-      if (p.latency_us < 0) fail("latency must be non-negative");
+      if (!std::isfinite(p.latency_us) || p.latency_us < 0) {
+        fail("latency must be a finite number >= 0");
+      }
     } else if (key == "overhead_us") {
       p.per_message_overhead_us = as_double();
-      if (p.per_message_overhead_us < 0) fail("overhead must be non-negative");
+      if (!std::isfinite(p.per_message_overhead_us) ||
+          p.per_message_overhead_us < 0) {
+        fail("overhead must be a finite number >= 0");
+      }
     } else if (key == "buses") {
       p.num_buses = as_int();
       if (p.num_buses < 0) fail("buses must be non-negative");
@@ -104,7 +112,9 @@ Platform read_platform(std::istream& in) {
       p.eager_threshold_bytes = *parsed;
     } else if (key == "relative_cpu_speed") {
       p.relative_cpu_speed = as_double();
-      if (p.relative_cpu_speed <= 0) fail("cpu speed must be positive");
+      if (!std::isfinite(p.relative_cpu_speed) || p.relative_cpu_speed <= 0) {
+        fail("cpu speed must be a finite number > 0");
+      }
     } else if (key == "fabric_links") {
       p.fabric_capacity_links = as_double();
     } else {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <utility>
 
@@ -73,7 +74,16 @@ dimemas::Platform lower_platform(const ScenarioSpec& spec,
                                  std::int32_t num_ranks,
                                  const std::string& platform_file) {
   if (!platform_file.empty()) {
-    dimemas::Platform platform = dimemas::read_platform_file(platform_file);
+    std::ifstream in(platform_file);
+    if (!in) throw Error("cannot open platform file: " + platform_file);
+    // A malformed or out-of-range file is a usage error, like an
+    // out-of-range flag; an unreadable one stays an I/O error.
+    dimemas::Platform platform;
+    try {
+      platform = dimemas::read_platform(in);
+    } catch (const Error& e) {
+      throw UsageError(e.what());
+    }
     if (platform.num_nodes < num_ranks) {
       throw Error(strprintf("platform has %d nodes but the trace needs %d",
                             platform.num_nodes, num_ranks));

@@ -73,7 +73,9 @@ struct ScenarioSpec {
 
 /// The platform `spec` replays on for a trace of `num_ranks` ranks. A
 /// `platform_file` overrides the network flags; it must have at least
-/// `num_ranks` nodes (osim::Error otherwise). Without one, the flags must
+/// `num_ranks` nodes (osim::Error otherwise, and when it cannot be opened)
+/// and parse with dimemas::read_platform (osim::UsageError otherwise,
+/// e.g. for a non-finite or out-of-range value). Without one, the flags must
 /// lie in the ranges platform files enforce — bandwidth finite and > 0,
 /// latency finite and >= 0, buses >= 0, ports > 0, eager >= 0 — or
 /// osim::UsageError is thrown.

@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #ifndef _WIN32
@@ -29,7 +31,10 @@ namespace {
 constexpr std::string_view kIndexMagic = "OSIMIDX1";
 constexpr std::uint32_t kIndexVersion = 1;
 constexpr const char* kIndexName = "index.osim";
+constexpr const char* kLogName = "index.log";
 constexpr const char* kLockName = "lock";
+constexpr std::string_view kLogMagic = "OSIMLOG1";
+constexpr std::uint32_t kLogVersion = 1;
 
 /// RAII advisory lock on <root>/lock. flock() locks are per open file
 /// description, so two threads of one process exclude each other exactly
@@ -66,6 +71,27 @@ std::optional<std::string> read_file(const fs::path& path) {
   buffer << in.rdbuf();
   if (in.bad()) return std::nullopt;
   return std::move(buffer).str();
+}
+
+/// The first `n` bytes of `path` (fewer when it is shorter) and its size.
+/// The access path reads the index and log headers this way, never their
+/// bodies.
+struct FileHead {
+  std::string bytes;
+  std::uint64_t size = 0;
+};
+
+std::optional<FileHead> read_head(const fs::path& path, std::size_t n) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return std::nullopt;
+  FileHead head;
+  head.size = static_cast<std::uint64_t>(in.tellg());
+  head.bytes.resize(static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, head.size)));
+  in.seekg(0);
+  in.read(head.bytes.data(), static_cast<std::streamsize>(head.bytes.size()));
+  if (!in) return std::nullopt;
+  return head;
 }
 
 /// Publishes `bytes` at `path` via a unique temp file in `tmp_dir` and an
@@ -144,6 +170,12 @@ bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v) {
   return true;
 }
 
+std::uint32_t crc_of(std::string_view bytes) {
+  Crc32 crc;
+  crc.update(bytes.data(), bytes.size());
+  return crc.value();
+}
+
 }  // namespace
 
 // --- index (de)serialization -------------------------------------------------
@@ -154,6 +186,8 @@ bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v) {
 // summary, so a failed decode is repaired, not reported to callers.
 
 struct IndexCodec {
+  static constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
+
   static std::string encode(std::uint64_t clock,
                             const std::vector<std::uint64_t>& flat) {
     // flat holds 5 u64 per entry: hi, lo, bytes, last_access, hits.
@@ -163,43 +197,136 @@ struct IndexCodec {
     put_u64(out, clock);
     put_u64(out, flat.size() / 5);
     for (const std::uint64_t v : flat) put_u64(out, v);
-    Crc32 crc;
-    crc.update(out.data() + kIndexMagic.size(),
-               out.size() - kIndexMagic.size());
-    put_u32(out, crc.value());
+    put_u32(out, crc_of(std::string_view(out).substr(kIndexMagic.size())));
     return out;
   }
 
-  static bool decode(std::string_view bytes, std::uint64_t& clock,
-                     std::vector<std::uint64_t>& flat) {
-    constexpr std::size_t kHeader = 8 + 4 + 8 + 8;
-    if (bytes.size() < kHeader + 4) return false;
-    if (bytes.substr(0, kIndexMagic.size()) != kIndexMagic) return false;
-    std::size_t tail = bytes.size() - 4;
-    std::uint32_t stored_crc = 0;
-    if (!get_u32(bytes, tail, stored_crc)) return false;
-    Crc32 crc;
-    crc.update(bytes.data() + kIndexMagic.size(),
-               bytes.size() - kIndexMagic.size() - 4);
-    if (crc.value() != stored_crc) return false;
+  /// Checks the header of an index of `size` bytes against that size; the
+  /// CRC needs the whole file, so this alone is what an access can afford.
+  static bool decode_head(std::string_view head, std::uint64_t size,
+                          std::uint64_t& clock, std::uint64_t& count) {
+    if (head.size() < kHeader || size < kHeader + 4) return false;
+    if (head.substr(0, kIndexMagic.size()) != kIndexMagic) return false;
     std::size_t pos = kIndexMagic.size();
     std::uint32_t version = 0;
+    if (!get_u32(head, pos, version) || version != kIndexVersion ||
+        !get_u64(head, pos, clock) || !get_u64(head, pos, count)) {
+      return false;
+    }
+    return (size - kHeader - 4) % 40 == 0 &&
+           count == (size - kHeader - 4) / 40;
+  }
+
+  /// Sets `clock` and `flat` only when the whole index checks out.
+  static bool decode(std::string_view bytes, std::uint64_t& clock,
+                     std::vector<std::uint64_t>& flat) {
+    std::uint64_t head_clock = 0;
     std::uint64_t count = 0;
-    if (!get_u32(bytes, pos, version) || version != kIndexVersion ||
-        !get_u64(bytes, pos, clock) || !get_u64(bytes, pos, count)) {
+    if (!decode_head(bytes, bytes.size(), head_clock, count)) return false;
+    std::size_t tail = bytes.size() - 4;
+    std::uint32_t stored_crc = 0;
+    if (!get_u32(bytes, tail, stored_crc) ||
+        crc_of(bytes.substr(kIndexMagic.size(),
+                            bytes.size() - kIndexMagic.size() - 4)) !=
+            stored_crc) {
       return false;
     }
-    if (count != (bytes.size() - kHeader - 4) / 40 ||
-        (bytes.size() - kHeader - 4) % 40 != 0) {
-      return false;
-    }
+    std::size_t pos = kHeader;
     flat.resize(count * 5);
     for (std::uint64_t& v : flat) {
       if (!get_u64(bytes, pos, v)) return false;
     }
+    clock = head_clock;
     return true;
   }
 };
+
+// --- index log ---------------------------------------------------------------
+//
+// Header: magic "OSIMLOG1", u32 version, u64 base clock (the index clock
+// the log applies to), u32 CRC over version and clock. Then one record
+// per access: u64 hi, u64 lo, u64 object bytes, u32 kind, u32 CRC over
+// the first 28 bytes. Record k carries clock base + k + 1 by position,
+// so a damaged record loses only itself and shifts no other.
+
+namespace {
+
+enum class LogKind : std::uint32_t { kSave = 1, kHit = 2 };
+
+struct LogRecord {
+  pipeline::Fingerprint fp;
+  std::uint64_t bytes = 0;
+  LogKind kind = LogKind::kSave;
+  bool intact = false;  // CRC and kind check out
+};
+
+struct ParsedLog {
+  bool header_ok = false;
+  std::uint64_t base = 0;
+  std::vector<LogRecord> records;  // one per complete slot, damaged included
+  std::size_t torn_bytes = 0;      // a trailing partial record
+};
+
+std::string encode_log_header(std::uint64_t base) {
+  std::string out(kLogMagic);
+  put_u32(out, kLogVersion);
+  put_u64(out, base);
+  put_u32(out, crc_of(std::string_view(out).substr(kLogMagic.size())));
+  return out;
+}
+
+bool decode_log_header(std::string_view bytes, std::uint64_t& base) {
+  if (bytes.size() < kIndexLogHeaderBytes ||
+      bytes.substr(0, kLogMagic.size()) != kLogMagic) {
+    return false;
+  }
+  std::size_t pos = kLogMagic.size();
+  std::uint32_t version = 0;
+  std::uint32_t crc = 0;
+  return get_u32(bytes, pos, version) && version == kLogVersion &&
+         get_u64(bytes, pos, base) && get_u32(bytes, pos, crc) &&
+         crc == crc_of(bytes.substr(kLogMagic.size(), 12));
+}
+
+std::string encode_log_record(const pipeline::Fingerprint& fp,
+                              std::uint64_t bytes, LogKind kind) {
+  std::string out;
+  put_u64(out, fp.hi);
+  put_u64(out, fp.lo);
+  put_u64(out, bytes);
+  put_u32(out, static_cast<std::uint32_t>(kind));
+  put_u32(out, crc_of(out));
+  return out;
+}
+
+ParsedLog parse_log(std::string_view bytes) {
+  ParsedLog parsed;
+  if (!decode_log_header(bytes, parsed.base)) return parsed;
+  parsed.header_ok = true;
+  std::string_view body = bytes.substr(kIndexLogHeaderBytes);
+  for (; body.size() >= kIndexLogRecordBytes;
+       body.remove_prefix(kIndexLogRecordBytes)) {
+    const std::string_view slot = body.substr(0, kIndexLogRecordBytes);
+    LogRecord record;
+    std::size_t pos = 0;
+    std::uint32_t kind = 0;
+    std::uint32_t crc = 0;
+    get_u64(slot, pos, record.fp.hi);
+    get_u64(slot, pos, record.fp.lo);
+    get_u64(slot, pos, record.bytes);
+    get_u32(slot, pos, kind);
+    get_u32(slot, pos, crc);
+    record.kind = static_cast<LogKind>(kind);
+    record.intact = crc == crc_of(slot.substr(0, kIndexLogRecordBytes - 4)) &&
+                    (record.kind == LogKind::kSave ||
+                     record.kind == LogKind::kHit);
+    parsed.records.push_back(record);
+  }
+  parsed.torn_bytes = body.size();
+  return parsed;
+}
+
+}  // namespace
 
 // --- ScenarioStore -----------------------------------------------------------
 
@@ -245,170 +372,43 @@ std::string ScenarioStore::object_path(const pipeline::Fingerprint& fp) const {
 std::optional<ScenarioArtifact> ScenarioStore::load(
     const pipeline::Fingerprint& fp) {
   const std::optional<std::string> bytes = read_file(object_path(fp));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
+  std::optional<DecodedObject> decoded;
+  if (bytes.has_value()) decoded = decode_object(*bytes);
+  if (!settle_lookup(fp, bytes, decoded ? &decoded->fingerprint : nullptr)) {
     return std::nullopt;
   }
-  const std::optional<DecodedObject> decoded = decode_object(*bytes);
-  if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
-    // Damaged, version-skewed or mis-addressed: a miss, never an error.
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    ++rejects_;
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++hits_;
-  }
-  // Bump the LRU slot so gc() evicts cold objects first.
-  {
-    FileLock lock(fs::path(root_) / kLockName);
-    Index index = reconciled_index();
-    ++index.clock;
-    for (IndexEntry& entry : index.entries) {
-      if (entry.fp == fp) {
-        entry.last_access = index.clock;
-        ++entry.hits;
-        entry.bytes = bytes->size();
-        break;
-      }
-    }
-    write_index(index);
-  }
-  return decoded->artifact;
+  return std::move(decoded->artifact);
 }
 
 void ScenarioStore::save(const pipeline::Fingerprint& fp,
                          const ScenarioArtifact& artifact) {
-  const std::string bytes = encode_object(fp, artifact);
-  const fs::path path(object_path(fp));
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  if (ec) {
-    throw Error("store: cannot create " + path.parent_path().string() + ": " +
-                ec.message());
-  }
-  write_file_atomic(path, bytes, fs::path(root_) / "tmp");
-
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-  ++index.clock;
-  bool found = false;
-  for (IndexEntry& entry : index.entries) {
-    if (entry.fp == fp) {
-      entry.bytes = bytes.size();
-      entry.last_access = index.clock;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    index.entries.push_back(IndexEntry{fp, bytes.size(), index.clock, 0});
-  }
-  write_index(index);
+  publish(fp, encode_object(fp, artifact));
 }
 
 std::optional<lint::Report> ScenarioStore::load_lint(
     const pipeline::Fingerprint& fp) {
   const std::optional<std::string> bytes = read_file(object_path(fp));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
+  std::optional<DecodedLintObject> decoded;
+  if (bytes.has_value()) decoded = decode_lint_object(*bytes);
+  if (!settle_lookup(fp, bytes, decoded ? &decoded->fingerprint : nullptr)) {
     return std::nullopt;
-  }
-  std::optional<DecodedLintObject> decoded = decode_lint_object(*bytes);
-  if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    ++rejects_;
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++hits_;
-  }
-  {
-    FileLock lock(fs::path(root_) / kLockName);
-    Index index = reconciled_index();
-    ++index.clock;
-    for (IndexEntry& entry : index.entries) {
-      if (entry.fp == fp) {
-        entry.last_access = index.clock;
-        ++entry.hits;
-        entry.bytes = bytes->size();
-        break;
-      }
-    }
-    write_index(index);
   }
   return std::move(decoded->report);
 }
 
 void ScenarioStore::save_lint(const pipeline::Fingerprint& fp,
                               const lint::Report& report) {
-  const std::string bytes = encode_lint_object(fp, report);
-  const fs::path path(object_path(fp));
-  std::error_code ec;
-  fs::create_directories(path.parent_path(), ec);
-  if (ec) {
-    throw Error("store: cannot create " + path.parent_path().string() + ": " +
-                ec.message());
-  }
-  write_file_atomic(path, bytes, fs::path(root_) / "tmp");
-
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-  ++index.clock;
-  bool found = false;
-  for (IndexEntry& entry : index.entries) {
-    if (entry.fp == fp) {
-      entry.bytes = bytes.size();
-      entry.last_access = index.clock;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    index.entries.push_back(IndexEntry{fp, bytes.size(), index.clock, 0});
-  }
-  write_index(index);
+  publish(fp, encode_lint_object(fp, report));
 }
 
 std::optional<std::string> ScenarioStore::load_report(
     const pipeline::Fingerprint& scenario) {
   const pipeline::Fingerprint fp = report_address(scenario);
   const std::optional<std::string> bytes = read_file(object_path(fp));
-  if (!bytes.has_value()) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
+  std::optional<DecodedReportObject> decoded;
+  if (bytes.has_value()) decoded = decode_report_object(*bytes);
+  if (!settle_lookup(fp, bytes, decoded ? &decoded->fingerprint : nullptr)) {
     return std::nullopt;
-  }
-  std::optional<DecodedReportObject> decoded = decode_report_object(*bytes);
-  if (!decoded.has_value() || !(decoded->fingerprint == fp)) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++misses_;
-    ++rejects_;
-    return std::nullopt;
-  }
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++hits_;
-  }
-  {
-    FileLock lock(fs::path(root_) / kLockName);
-    Index index = reconciled_index();
-    ++index.clock;
-    for (IndexEntry& entry : index.entries) {
-      if (entry.fp == fp) {
-        entry.last_access = index.clock;
-        ++entry.hits;
-        entry.bytes = bytes->size();
-        break;
-      }
-    }
-    write_index(index);
   }
   return std::move(decoded->report_json);
 }
@@ -416,7 +416,33 @@ std::optional<std::string> ScenarioStore::load_report(
 void ScenarioStore::save_report(const pipeline::Fingerprint& scenario,
                                 std::string_view report_json) {
   const pipeline::Fingerprint fp = report_address(scenario);
-  const std::string bytes = encode_report_object(fp, report_json);
+  publish(fp, encode_report_object(fp, report_json));
+}
+
+bool ScenarioStore::settle_lookup(const pipeline::Fingerprint& fp,
+                                  const std::optional<std::string>& bytes,
+                                  const pipeline::Fingerprint* decoded) {
+  {
+    std::lock_guard<std::mutex> guard(mutex_);
+    if (!bytes.has_value()) {
+      ++misses_;
+      return false;
+    }
+    if (decoded == nullptr || !(*decoded == fp)) {
+      // Damaged, version-skewed or mis-addressed: a miss, never an error.
+      ++misses_;
+      ++rejects_;
+      return false;
+    }
+    ++hits_;
+  }
+  // Bump the LRU slot so gc() evicts cold objects first.
+  record_access(fp, bytes->size(), /*hit=*/true);
+  return true;
+}
+
+void ScenarioStore::publish(const pipeline::Fingerprint& fp,
+                            const std::string& bytes) {
   const fs::path path(object_path(fp));
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);
@@ -425,23 +451,85 @@ void ScenarioStore::save_report(const pipeline::Fingerprint& scenario,
                 ec.message());
   }
   write_file_atomic(path, bytes, fs::path(root_) / "tmp");
+  record_access(fp, bytes.size(), /*hit=*/false);
+}
 
-  FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
-  ++index.clock;
-  bool found = false;
-  for (IndexEntry& entry : index.entries) {
-    if (entry.fp == fp) {
-      entry.bytes = bytes.size();
-      entry.last_access = index.clock;
-      found = true;
-      break;
+void ScenarioStore::record_access(const pipeline::Fingerprint& fp,
+                                  std::uint64_t bytes, bool hit) {
+  const fs::path root(root_);
+  const fs::path log_path = root / kLogName;
+  FileLock lock(root / kLockName);
+
+  // The index clock and size from its header alone. A header that does
+  // not check out reads as clock 0, which is what the fold rebuilds a
+  // damaged index to.
+  std::uint64_t clock = 0;
+  std::uint64_t entries = 0;
+  const std::optional<FileHead> index_head =
+      read_head(root / kIndexName, IndexCodec::kHeader);
+  if (!index_head.has_value() ||
+      !IndexCodec::decode_head(index_head->bytes, index_head->size, clock,
+                               entries)) {
+    clock = 0;
+    entries = 0;
+  }
+
+  std::string append;
+  std::ios::openmode mode = std::ios::binary | std::ios::app;
+  std::uint64_t records = 0;
+  std::uint64_t base = 0;
+  const std::optional<FileHead> log_head =
+      read_head(log_path, kIndexLogHeaderBytes);
+  if (log_head.has_value() && decode_log_header(log_head->bytes, base) &&
+      base == clock) {
+    records = (log_head->size - kIndexLogHeaderBytes) / kIndexLogRecordBytes;
+    const std::uint64_t valid_end =
+        kIndexLogHeaderBytes + records * kIndexLogRecordBytes;
+    if (log_head->size != valid_end) {
+      // A crash tore the last append: drop it so ours starts a record.
+      std::error_code ec;
+      fs::resize_file(log_path, valid_end, ec);
+      if (ec) {
+        throw Error("store: cannot truncate " + log_path.string() + ": " +
+                    ec.message());
+      }
     }
+  } else {
+    // Missing, damaged, or stale: a crash between a fold's index rename
+    // and its log removal leaves a log the index already holds. Start a
+    // new log on the current index.
+    append = encode_log_header(clock);
+    mode = std::ios::binary | std::ios::trunc;
   }
-  if (!found) {
-    index.entries.push_back(IndexEntry{fp, bytes.size(), index.clock, 0});
+  append += encode_log_record(fp, bytes, hit ? LogKind::kHit : LogKind::kSave);
+  {
+    std::ofstream out(log_path, mode);
+    if (!out) throw Error("store: cannot open " + log_path.string());
+    // Two-part write with a crash point between: dying there leaves the
+    // torn record that the next access truncates and a fold ignores.
+    const std::size_t half = append.size() - kIndexLogRecordBytes / 2;
+    out.write(append.data(), static_cast<std::streamsize>(half));
+    out.flush();
+    maybe_crash("store.log.append.torn");
+    out.write(append.data() + half,
+              static_cast<std::streamsize>(append.size() - half));
+    out.flush();
+    if (!out) throw Error("store: failed appending to " + log_path.string());
   }
+  // Folding once the log is as long as the index keeps the amortised
+  // cost of an access constant.
+  if (records + 1 >= std::max(entries, kIndexLogFoldFloor)) fold();
+}
+
+ScenarioStore::Index ScenarioStore::fold() {
+  Index index = reconciled_index();
   write_index(index);
+  // Dying here leaves a log whose base clock no longer matches the new
+  // index: stale, so it is ignored rather than applied twice.
+  maybe_crash("store.index.folded");
+  std::error_code ec;
+  fs::remove(fs::path(root_) / kLogName, ec);
+  return index;
 }
 
 std::vector<pipeline::Fingerprint> ScenarioStore::scan_objects() const {
@@ -463,9 +551,9 @@ std::vector<pipeline::Fingerprint> ScenarioStore::scan_objects() const {
 }
 
 ScenarioStore::Index ScenarioStore::reconciled_index() {
+  const fs::path root(root_);
   Index index;
-  const std::optional<std::string> bytes =
-      read_file(fs::path(root_) / kIndexName);
+  const std::optional<std::string> bytes = read_file(root / kIndexName);
   std::vector<std::uint64_t> flat;
   if (bytes.has_value() && IndexCodec::decode(*bytes, index.clock, flat)) {
     index.entries.reserve(flat.size() / 5);
@@ -476,23 +564,46 @@ ScenarioStore::Index ScenarioStore::reconciled_index() {
   } else if (bytes.has_value()) {
     index.rebuilt = true;  // damaged index: rebuilt below, never fatal
   }
+  // Replay the access log when it was started on this index; any other
+  // base clock marks a log the index already holds.
+  std::unordered_map<pipeline::Fingerprint, std::size_t,
+                     pipeline::FingerprintHash>
+      position;
+  for (std::size_t i = 0; i < index.entries.size(); ++i) {
+    position.emplace(index.entries[i].fp, i);
+  }
+  if (const std::optional<std::string> log = read_file(root / kLogName)) {
+    const ParsedLog parsed = parse_log(*log);
+    if (parsed.header_ok && parsed.base == index.clock) {
+      for (const LogRecord& record : parsed.records) {
+        ++index.clock;
+        if (!record.intact) continue;
+        const auto [it, inserted] =
+            position.try_emplace(record.fp, index.entries.size());
+        if (inserted) index.entries.push_back(IndexEntry{record.fp});
+        IndexEntry& entry = index.entries[it->second];
+        entry.bytes = record.bytes;
+        entry.last_access = index.clock;
+        if (record.kind == LogKind::kHit) ++entry.hits;
+      }
+    }
+  }
   // Reconcile with the object tree: entries for vanished objects go, files
-  // published without an index update (crash between rename and index
-  // write, or a hand-copied store) come in with unknown recency.
+  // published without a log record (crash between rename and append, or a
+  // hand-copied store) come in with unknown recency.
   std::vector<IndexEntry> alive;
   alive.reserve(index.entries.size());
+  std::unordered_set<pipeline::Fingerprint, pipeline::FingerprintHash> known;
   for (const IndexEntry& entry : index.entries) {
     std::error_code ec;
     if (fs::exists(object_path(entry.fp), ec) && !ec) {
       alive.push_back(entry);
+      known.insert(entry.fp);
     }
   }
   index.entries = std::move(alive);
   for (const pipeline::Fingerprint& fp : scan_objects()) {
-    const bool known =
-        std::any_of(index.entries.begin(), index.entries.end(),
-                    [&fp](const IndexEntry& e) { return e.fp == fp; });
-    if (known) continue;
+    if (!known.insert(fp).second) continue;
     std::error_code ec;
     const std::uint64_t size = fs::file_size(object_path(fp), ec);
     index.entries.push_back(IndexEntry{fp, ec ? 0 : size, 0, 0});
@@ -517,7 +628,7 @@ void ScenarioStore::write_index(const Index& index) {
 
 StoreStats ScenarioStore::stats() {
   FileLock lock(fs::path(root_) / kLockName);
-  const Index index = reconciled_index();
+  const Index index = fold();
   StoreStats stats;
   stats.clock = index.clock;
   stats.index_rebuilt = index.rebuilt;
@@ -526,7 +637,6 @@ StoreStats ScenarioStore::stats() {
     stats.bytes += entry.bytes;
     stats.total_hits += entry.hits;
   }
-  write_index(index);  // persist the reconciliation
   return stats;
 }
 
@@ -558,6 +668,8 @@ VerifyReport ScenarioStore::verify() {
     }
     ++report.objects_ok;
   }
+  // The lock keeps a concurrent append from reading as a torn tail.
+  FileLock lock(fs::path(root_) / kLockName);
   const std::optional<std::string> index_bytes =
       read_file(fs::path(root_) / kIndexName);
   if (index_bytes.has_value()) {
@@ -568,13 +680,36 @@ VerifyReport ScenarioStore::verify() {
           {kIndexName, "damaged index (will be rebuilt on next use)"});
     }
   }
+  const std::optional<std::string> log_bytes =
+      read_file(fs::path(root_) / kLogName);
+  if (log_bytes.has_value()) {
+    const ParsedLog log = parse_log(*log_bytes);
+    const auto damaged = std::count_if(
+        log.records.begin(), log.records.end(),
+        [](const LogRecord& record) { return !record.intact; });
+    if (!log.header_ok) {
+      report.issues.push_back(
+          {kLogName, "damaged index log header (the log is ignored)"});
+    } else if (damaged > 0) {
+      report.issues.push_back(
+          {kLogName, strprintf("%lld damaged index log record(s) (skipped "
+                               "on the next fold)",
+                               static_cast<long long>(damaged))});
+    }
+    if (log.torn_bytes > 0) {
+      report.issues.push_back(
+          {kLogName, strprintf("torn index log tail of %zu byte(s) (dropped "
+                               "on the next access)",
+                               log.torn_bytes)});
+    }
+  }
   return report;
 }
 
 GcReport ScenarioStore::gc(std::uint64_t max_bytes,
                            std::uint64_t max_objects) {
   FileLock lock(fs::path(root_) / kLockName);
-  Index index = reconciled_index();
+  Index index = fold();
 
   GcReport report;
   for (const IndexEntry& entry : index.entries) {

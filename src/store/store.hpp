@@ -5,25 +5,40 @@
 //
 //   <root>/objects/<first 2 hex digits>/<32 hex digits>
 //
-// alongside a small LRU index (<root>/index.osim) and an advisory lock
-// file (<root>/lock). The store is safe to share between concurrent
-// processes and threads:
+// alongside a small LRU index (<root>/index.osim), an append-only access
+// log (<root>/index.log) and an advisory lock file (<root>/lock). The
+// store is safe to share between concurrent processes and threads:
 //
 //   publication  objects are written to <root>/tmp and renamed into place,
 //                so a reader only ever sees absent or complete files;
-//   index        every read-modify-write of the index happens under an
-//                exclusive advisory flock on <root>/lock, and the index is
-//                itself published by rename;
-//   reads        load() needs neither the lock nor the index — the object
-//                path is derived from the key alone, which is what makes
-//                a gc'd, hand-pruned or half-indexed store merely slower,
-//                never wrong.
+//   access log   every save and every load hit appends one fixed 32-byte
+//                CRC'd record (fingerprint, object bytes, kind) to
+//                index.log under an exclusive advisory flock on
+//                <root>/lock. The log header names the index clock it
+//                applies to, and record k carries clock base + k + 1, so
+//                an access reads two headers and appends; it never reads
+//                the index body or walks the tree;
+//   fold         stats() and gc() fold the log into the index: replay its
+//                records, reconcile with the object tree, publish the
+//                index by rename, remove the log. An access folds too
+//                once the log holds as many records as the index has
+//                entries (at least kIndexLogFoldFloor), which keeps the
+//                amortised cost of an access constant;
+//   crashes      a log whose base clock is not the index clock was left
+//                by a crash between a fold's index rename and its log
+//                removal; the index already holds it, so it is ignored.
+//                A torn last record loses only itself;
+//   reads        load() derives the object path from the key alone and
+//                reads it without the lock; only a hit takes the lock, to
+//                append its record. That is what makes a gc'd,
+//                hand-pruned or half-indexed store merely slower, never
+//                wrong.
 //
 // Damage never propagates: a corrupt or version-skewed object decodes to
-// a miss (strict CRC, see store/format.hpp), and a damaged index is
-// rebuilt from a directory scan. The index is metadata only — byte sizes,
-// hit counts and a logical LRU clock used by gc() — so losing it loses
-// recency, not results.
+// a miss (strict CRC, see store/format.hpp), a damaged index is rebuilt
+// from a directory scan, and a damaged log record is skipped. The index
+// and the log are metadata only — byte sizes, hit counts and a logical LRU
+// clock used by gc() — so losing them loses recency, not results.
 #pragma once
 
 #include <chrono>
@@ -39,8 +54,9 @@
 
 namespace osim::store {
 
-/// Store-wide totals, as recorded in the index (reconciled with the object
-/// tree on load, so stale entries do not inflate the numbers).
+/// Store-wide totals, as recorded in the index once the access log is
+/// folded in (reconciled with the object tree, so stale entries do not
+/// inflate the numbers).
 struct StoreStats {
   std::uint64_t objects = 0;
   std::uint64_t bytes = 0;
@@ -79,6 +95,14 @@ struct GcReport {
 /// writer mid-rename.
 inline constexpr std::chrono::seconds kStaleTmpMaxAge =
     std::chrono::seconds(3600);
+
+/// Framing of <root>/index.log: a fixed header (magic, version, base
+/// clock, CRC), then one fixed-size record per access.
+inline constexpr std::size_t kIndexLogHeaderBytes = 24;
+inline constexpr std::size_t kIndexLogRecordBytes = 32;
+/// An access folds the log into the index once it holds this many
+/// records or as many as the index has entries, whichever is more.
+inline constexpr std::uint64_t kIndexLogFoldFloor = 1024;
 
 class ScenarioStore {
  public:
@@ -130,13 +154,17 @@ class ScenarioStore {
   /// Absolute object path for `fp` (the file may or may not exist).
   std::string object_path(const pipeline::Fingerprint& fp) const;
 
+  /// Folds the access log into the index and reports its totals.
   StoreStats stats();
+  /// Decodes every object; also reports a damaged index, and an access
+  /// log with a bad header, damaged records or a torn tail.
   VerifyReport verify();
 
   /// Evicts least-recently-used objects until the store holds at most
   /// `max_bytes` of objects (and at most `max_objects` objects, when
   /// non-zero). Corrupt objects and stale index entries are always
-  /// removed. max_bytes == 0 empties the store.
+  /// removed. max_bytes == 0 empties the store. Folds the access log
+  /// first, so eviction sees every recorded access.
   GcReport gc(std::uint64_t max_bytes, std::uint64_t max_objects = 0);
 
   // Process-local probe counters (thread-safe).
@@ -159,7 +187,20 @@ class ScenarioStore {
     bool rebuilt = false;
   };
 
-  Index reconciled_index();  // call with the store lock held
+  // Counts a lookup at fp's address and logs a hit's access. `bytes` is
+  // what was read there (nullopt: nothing); `decoded` is the fingerprint
+  // its strict decode recorded (nullptr: damaged). Returns whether it hit.
+  bool settle_lookup(const pipeline::Fingerprint& fp,
+                     const std::optional<std::string>& bytes,
+                     const pipeline::Fingerprint* decoded);
+  // Publishes an encoded object and logs the save.
+  void publish(const pipeline::Fingerprint& fp, const std::string& bytes);
+  // Appends one access record to the log; folds when it is long enough.
+  void record_access(const pipeline::Fingerprint& fp, std::uint64_t bytes,
+                     bool hit);
+  // fold(), reconciled_index() and write_index() need the store lock held.
+  Index fold();  // reconciled_index() + write_index() + remove the log
+  Index reconciled_index();  // index + log replay + object-tree reconcile
   void write_index(const Index& index);
   std::vector<pipeline::Fingerprint> scan_objects() const;
 

@@ -587,6 +587,68 @@ TEST_P(RandomStoreObjects, IndexCorruptionNeverCrashesOrLosesObjects) {
   }
 }
 
+TEST_P(RandomStoreObjects, IndexLogCorruptionNeverCrashesOrLosesObjects) {
+  namespace fs = std::filesystem;
+  Rng rng(GetParam() * 67 + 23);
+  const std::string dir = ::testing::TempDir() + "/osim_log_fuzz_" +
+                          std::to_string(GetParam());
+  fs::remove_all(dir);
+  const pipeline::Fingerprint a = random_fingerprint(rng);
+  const pipeline::Fingerprint b = random_fingerprint(rng);
+  {
+    store::ScenarioStore store(dir);
+    store.save(a, random_artifact(rng));
+    store.save(b, random_artifact(rng));
+    store.stats();  // fold: an index for the log to apply to
+    for (int i = 0; i < 5; ++i) store.load(i % 2 == 0 ? a : b);
+    store.save(a, random_artifact(rng));
+  }
+  auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  auto spill = [](const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  const std::string index_path = dir + "/index.osim";
+  const std::string log_path = dir + "/index.log";
+  const std::string index = slurp(index_path);
+  const std::string log = slurp(log_path);
+  ASSERT_EQ(log.size(),
+            store::kIndexLogHeaderBytes + 6 * store::kIndexLogRecordBytes);
+  for (int round = 0; round < 16; ++round) {
+    // Odd rounds truncate anywhere; even rounds flip bits.
+    std::string bytes = log;
+    bool damaged = false;
+    if (round % 2 == 1) {
+      bytes.resize(rng.below(log.size()));
+      damaged = bytes.size() < store::kIndexLogHeaderBytes ||
+                (bytes.size() - store::kIndexLogHeaderBytes) %
+                        store::kIndexLogRecordBytes !=
+                    0;
+    } else {
+      bytes = flip_bits(log, rng);
+      damaged = bytes != log;
+    }
+    spill(index_path, index);
+    spill(log_path, bytes);
+    store::ScenarioStore store(dir);
+    store::VerifyReport report;
+    ASSERT_NO_THROW(report = store.verify()) << "round " << round;
+    // A bad header, a damaged record or a torn tail is reported; a cut on
+    // a record boundary is indistinguishable from fewer accesses.
+    EXPECT_EQ(report.clean(), !damaged) << "round " << round;
+    store::StoreStats stats;
+    ASSERT_NO_THROW(stats = store.stats()) << "round " << round;
+    EXPECT_EQ(stats.objects, 2u) << "round " << round;
+    EXPECT_TRUE(store.load(a).has_value()) << "round " << round;
+    EXPECT_TRUE(store.load(b).has_value()) << "round " << round;
+    ASSERT_NO_THROW(store.gc(1u << 30)) << "round " << round;
+  }
+}
+
 // Lint-report store objects ("OSIMLNT1") share the envelope and the
 // damage-degrades-to-miss contract with scenario artifacts.
 

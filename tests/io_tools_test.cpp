@@ -2,8 +2,16 @@
 // configuration files.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
+#include <fstream>
+#include <string>
+
 #include "common/expect.hpp"
 #include "dimemas/platform_io.hpp"
+#include "pipeline/scenario.hpp"
+#include "trace/io.hpp"
 #include "trace/summary.hpp"
 #include "trace/trace.hpp"
 
@@ -134,6 +142,34 @@ TEST(PlatformIo, BadValueThrows) {
                Error);
   EXPECT_THROW(dimemas::read_platform("nodes 4\nmodel telepathy\n"), Error);
   EXPECT_THROW(dimemas::read_platform("nodes 0\n"), Error);
+}
+
+TEST(PlatformIo, NonFiniteValuesThrowAndReplayExitsUsage) {
+  // NaN slips through a plain `<= 0` / `< 0` range check, so each
+  // floating-point key must also be finite, as the flags must be.
+  const std::string dir = ::testing::TempDir();
+  const std::string trace_path = dir + "/osim_nonfinite.trace";
+  trace::write_text_file(sample_trace(), trace_path);
+  for (const char* key : {"bandwidth_mbps", "latency_us", "overhead_us",
+                          "relative_cpu_speed"}) {
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      const std::string text =
+          std::string("nodes 4\n") + key + " " + value + "\n";
+      SCOPED_TRACE(text);
+      EXPECT_THROW(dimemas::read_platform(text), Error);
+
+      const std::string cfg = dir + "/osim_nonfinite.cfg";
+      std::ofstream(cfg) << text;
+      EXPECT_THROW(pipeline::lower_platform(pipeline::ScenarioSpec{}, 2, cfg),
+                   UsageError);
+      const std::string command = std::string(OSIM_REPLAY_BIN) +
+                                  " --trace " + trace_path + " --platform " +
+                                  cfg + " > /dev/null 2>&1";
+      const int status = std::system(command.c_str());
+      ASSERT_TRUE(WIFEXITED(status));
+      EXPECT_EQ(WEXITSTATUS(status), 2);
+    }
+  }
 }
 
 TEST(PlatformIo, MissingFileThrows) {

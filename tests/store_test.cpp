@@ -4,7 +4,11 @@
 // entirely from the disk tier with bit-identical makespans.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -430,6 +434,201 @@ TEST(ScenarioStore, UnindexedObjectsAreAdopted) {
   ScenarioStore store(dir);
   EXPECT_EQ(store.stats().objects, 1u);
   EXPECT_TRUE(store.load(fp(7, 7)).has_value());
+}
+
+// --- index log --------------------------------------------------------------
+
+std::uint64_t file_size_or_zero(const std::string& path) {
+  std::error_code ec;
+  const std::uint64_t size = fs::file_size(path, ec);
+  return ec ? 0 : size;
+}
+
+TEST(IndexLog, AccessesAppendOneRecordAndNeverRewriteTheIndex) {
+  const std::string dir = fresh_dir("log_append");
+  ScenarioStore store(dir);
+  store.save(fp(100, 1), sample_artifact(1));
+  store.stats();  // fold: the index exists, the log does not
+  const std::string index = read_file(dir + "/index.osim");
+  ASSERT_FALSE(index.empty());
+  ASSERT_FALSE(fs::exists(dir + "/index.log"));
+
+  // Ten saves and ten load hits, interleaved. Each appends exactly one
+  // record; none reads the index body, walks the tree or rewrites the
+  // index.
+  for (int i = 0; i < 20; ++i) {
+    const pipeline::Fingerprint key = fp(static_cast<std::uint64_t>(i / 2), 2);
+    if (i % 2 == 0) {
+      store.save(key, sample_artifact(i));
+    } else {
+      ASSERT_TRUE(store.load(key).has_value());
+    }
+    EXPECT_EQ(file_size_or_zero(dir + "/index.log"),
+              kIndexLogHeaderBytes +
+                  static_cast<std::uint64_t>(i + 1) * kIndexLogRecordBytes)
+        << "access " << i;
+    EXPECT_EQ(read_file(dir + "/index.osim"), index) << "access " << i;
+  }
+  EXPECT_FALSE(store.load(fp(99, 99)).has_value());  // a miss logs nothing
+  EXPECT_EQ(file_size_or_zero(dir + "/index.log"),
+            kIndexLogHeaderBytes + 20 * kIndexLogRecordBytes);
+
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.objects, 11u);
+  EXPECT_EQ(stats.clock, 21u);
+  EXPECT_EQ(stats.total_hits, 10u);
+  EXPECT_FALSE(fs::exists(dir + "/index.log"));
+}
+
+TEST(IndexLog, AnAccessFoldsOnceTheLogReachesTheFloor) {
+  const std::string dir = fresh_dir("log_fold");
+  ScenarioStore store(dir);
+  store.save(fp(1, 1), sample_artifact(1));
+  for (std::uint64_t i = 1; i + 1 < kIndexLogFoldFloor; ++i) {
+    ASSERT_TRUE(store.load(fp(1, 1)).has_value());
+  }
+  EXPECT_EQ(file_size_or_zero(dir + "/index.log"),
+            kIndexLogHeaderBytes +
+                (kIndexLogFoldFloor - 1) * kIndexLogRecordBytes);
+  EXPECT_FALSE(fs::exists(dir + "/index.osim"));
+
+  ASSERT_TRUE(store.load(fp(1, 1)).has_value());  // access number `floor`
+  EXPECT_FALSE(fs::exists(dir + "/index.log"));
+  EXPECT_TRUE(fs::exists(dir + "/index.osim"));
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.clock, kIndexLogFoldFloor);
+  EXPECT_EQ(stats.total_hits, kIndexLogFoldFloor - 1);
+  EXPECT_EQ(stats.objects, 1u);
+}
+
+TEST(IndexLog, StaleLogChangesNothing) {
+  const std::string dir = fresh_dir("log_stale");
+  ScenarioStore store(dir);
+  store.save(fp(1, 1), sample_artifact(1));
+  store.save(fp(2, 2), sample_artifact(2));
+  ASSERT_TRUE(store.load(fp(1, 1)).has_value());
+  const std::string live_log = read_file(dir + "/index.log");
+  const StoreStats before = store.stats();
+  ASSERT_EQ(before.clock, 3u);
+  const std::string index = read_file(dir + "/index.osim");
+
+  // The same three valid records behind a header for another base clock.
+  std::string header = "OSIMLOG1";
+  auto put = [&header](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      header.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    }
+  };
+  put(1, 4);                 // version
+  put(before.clock - 1, 8);  // base: not the index clock
+  Crc32 crc;
+  crc.update(header.data() + 8, 12);
+  put(crc.value(), 4);
+  ASSERT_EQ(header.size(), kIndexLogHeaderBytes);
+  write_file(dir + "/index.log", header + live_log.substr(header.size()));
+
+  EXPECT_TRUE(store.verify().clean());  // stale is not damage
+  const StoreStats after = store.stats();
+  EXPECT_EQ(after.clock, before.clock);
+  EXPECT_EQ(after.total_hits, before.total_hits);
+  EXPECT_EQ(after.objects, before.objects);
+  EXPECT_EQ(read_file(dir + "/index.osim"), index);
+  EXPECT_FALSE(fs::exists(dir + "/index.log"));
+}
+
+TEST(IndexLog, TornTailLosesOnlyItsRecord) {
+  const std::string dir = fresh_dir("log_torn");
+  ScenarioStore store(dir);
+  store.save(fp(1, 1), sample_artifact(1));
+  store.stats();  // clock 1
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(store.load(fp(1, 1)).has_value());
+  const std::string log_path = dir + "/index.log";
+  fs::resize_file(log_path, file_size_or_zero(log_path) - 10);
+
+  const VerifyReport report = store.verify();
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_EQ(report.issues[0].path, "index.log");
+
+  // The next access drops the torn tail before appending its own record.
+  ASSERT_TRUE(store.load(fp(1, 1)).has_value());
+  EXPECT_EQ(file_size_or_zero(log_path),
+            kIndexLogHeaderBytes + 3 * kIndexLogRecordBytes);
+  EXPECT_TRUE(store.verify().clean());
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.clock, 1u + 2u + 1u);
+  EXPECT_EQ(stats.total_hits, 3u);
+}
+
+// Crash points inherited through the environment, as in serve_test.cpp;
+// the crash itself happens in a forked child.
+struct CrashPointGuard {
+  explicit CrashPointGuard(const char* value) {
+    ::setenv("OSIM_CRASH_POINT", value, 1);
+  }
+  ~CrashPointGuard() { ::unsetenv("OSIM_CRASH_POINT"); }
+};
+
+// Runs `work` in a forked child and expects the child to die by SIGKILL.
+template <typename Work>
+void expect_killed_in_child(const char* crash_point, Work work) {
+  const CrashPointGuard crash(crash_point);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    work();
+    ::_exit(0);  // the crash point did not fire
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited " << WEXITSTATUS(status);
+  EXPECT_EQ(WTERMSIG(status), SIGKILL);
+}
+
+TEST(IndexLog, CrashBetweenFoldRenameAndLogRemovalAppliesNothingTwice) {
+  const std::string dir = fresh_dir("crash_fold");
+  expect_killed_in_child("store.index.folded", [&dir] {
+    ScenarioStore store(dir);
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      store.save(fp(i, i), sample_artifact(static_cast<int>(i)));
+    }
+    for (std::uint64_t i = 0; i < 4; ++i) store.load(fp(1 + i % 3, 1 + i % 3));
+    store.stats();  // dies after the index rename
+  });
+  ASSERT_TRUE(fs::exists(dir + "/index.log"));  // left behind, now stale
+
+  ScenarioStore store(dir);
+  StoreStats stats = store.stats();
+  EXPECT_EQ(stats.objects, 3u);
+  EXPECT_EQ(stats.clock, 7u);
+  EXPECT_EQ(stats.total_hits, 4u);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(store.load(fp(i, i)).has_value());
+  }
+  stats = store.stats();
+  EXPECT_EQ(stats.clock, 10u);
+  EXPECT_EQ(stats.total_hits, 7u);
+}
+
+TEST(IndexLog, TornAppendLosesOnlyTheTornRecord) {
+  const std::string dir = fresh_dir("crash_torn");
+  expect_killed_in_child("store.log.append.torn:5", [&dir] {
+    ScenarioStore store(dir);
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+      store.save(fp(i, i), sample_artifact(static_cast<int>(i)));
+    }
+    store.load(fp(1, 1));
+    store.load(fp(2, 2));  // the fifth append: torn
+  });
+  EXPECT_FALSE(ScenarioStore(dir).verify().clean());  // the torn tail
+
+  ScenarioStore store(dir);
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    EXPECT_TRUE(store.load(fp(i, i)).has_value());
+  }
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.objects, 3u);
+  EXPECT_EQ(stats.clock, 4u + 3u);
+  EXPECT_EQ(stats.total_hits, 1u + 3u);
 }
 
 // --- Study integration ------------------------------------------------------

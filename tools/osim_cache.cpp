@@ -9,7 +9,8 @@
 //   osim_cache gc     --cache-dir DIR --max-bytes N [--max-objects M]
 //
 // verify decodes every object (magic, version, CRC, address) and checks
-// the index; it exits 0 only on a fully intact store, 1 otherwise. gc
+// the index and its access log; it exits 0 only on a fully intact store,
+// 1 otherwise. stats and gc fold the access log into the index first. gc
 // removes corrupt objects unconditionally and then evicts least-recently-
 // used objects until the store fits the given budget; study journals
 // (supervise/journal.hpp) whose study completed — or whose file no longer
