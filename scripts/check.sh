@@ -6,8 +6,9 @@
 #      pipeline::ReplayContext / Study API — nothing in tools/ or
 #      src/serve/ may lower scenario flags by hand — every Platform /
 #      ReplayOptions built from flags comes from pipeline::ScenarioSpec —
-#      and only ScenarioStore::fold() may run the store's full index
-#      reconcile;
+#      only ScenarioStore::fold() may run the store's full index
+#      reconcile, and no little-endian loop, CRC-over-a-string helper or
+#      FNV-1a hasher may be hand-written outside the one codec;
 #   2. full build under AddressSanitizer + UndefinedBehaviorSanitizer (or
 #      ThreadSanitizer with 'thread', or standalone UBSan with 'undefined'
 #      as the second argument) and the full test suite;
@@ -89,6 +90,22 @@ if awk '/^[A-Za-z_].*\(/ && !/;[[:space:]]*$/ { fn = $0 }
   exit 1
 fi
 echo "store OK (the full index reconcile runs only in ScenarioStore::fold)"
+
+# One binary codec: the little-endian primitives and record framing live
+# in src/common/codec.hpp (on src/common/crc32.hpp), the fingerprint
+# hasher in src/pipeline/fingerprint.hpp. The streaming trace reader
+# (src/trace/binary_io.cpp) keeps its own by design; see DESIGN.md
+# "Binary formats". A private copy anywhere else is free to drift.
+if grep -rnE --include='*.cpp' --include='*.hpp' \
+     -e '(<<|>>) \(8 \* i\)' -e 'Crc32 crc;' -e '0x100000001[bB]3' \
+     "$ROOT/src" "$ROOT/tools" |
+   grep -vE "^$ROOT/src/(common/codec\.hpp|common/crc32\.hpp|pipeline/fingerprint\.hpp|trace/binary_io\.cpp):"; then
+  echo "error: hand-written byte codec or hasher in src/ or tools/; use" \
+       "common/codec.hpp (primitives, envelope, CRC'd record, frame) or" \
+       "pipeline::Hasher" >&2
+  exit 1
+fi
+echo "codec OK (one codec in src/common/codec.hpp, one hasher)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -26,8 +26,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "trace/record.hpp"
 
 namespace osim::faults {
@@ -102,5 +104,40 @@ struct Counts {
 
   friend bool operator==(const Counts&, const Counts&) = default;
 };
+
+/// The wire body of Counts, shared by store objects and journal entries.
+inline void put_counts(std::string& out, const Counts& c) {
+  codec::put_u8(out, c.enabled ? 1 : 0);
+  codec::put_u64(out, c.seed);
+  codec::put_u64(out, c.messages_dropped);
+  codec::put_u64(out, c.retransmits);
+  codec::put_u64(out, c.handshake_reissues);
+  codec::put_u64(out, c.hard_stalls);
+  codec::put_u64(out, c.degraded_transfers);
+  codec::put_u64(out, c.perturbed_bursts);
+  codec::put_u64(out, c.straggled_bursts);
+  codec::put_f64(out, c.injected_delay_s);
+  codec::put_f64(out, c.injected_compute_s);
+}
+
+/// Inverse of put_counts; latches `in` on a short body or an enabled byte
+/// other than 0 or 1 (a flipped bool byte is damage, not data).
+inline Counts get_counts(codec::Reader& in) {
+  Counts c;
+  const std::uint8_t enabled = in.get_u8();
+  if (enabled > 1) in.fail();
+  c.enabled = enabled == 1;
+  c.seed = in.get_u64();
+  c.messages_dropped = in.get_u64();
+  c.retransmits = in.get_u64();
+  c.handshake_reissues = in.get_u64();
+  c.hard_stalls = in.get_u64();
+  c.degraded_transfers = in.get_u64();
+  c.perturbed_bursts = in.get_u64();
+  c.straggled_bursts = in.get_u64();
+  c.injected_delay_s = in.get_f64();
+  c.injected_compute_s = in.get_f64();
+  return c;
+}
 
 }  // namespace osim::faults

@@ -1,6 +1,5 @@
 #include "pipeline/context.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "common/expect.hpp"
@@ -10,41 +9,6 @@
 namespace osim::pipeline {
 
 namespace {
-
-// Two-lane FNV-1a with distinct offset bases; both lanes see the same byte
-// stream, so a collision requires both 64-bit hashes to collide at once.
-class Hasher {
- public:
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      byte(static_cast<unsigned char>(v >> (8 * i)));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void boolean(bool v) { byte(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s) byte(static_cast<unsigned char>(c));
-  }
-
-  Fingerprint value() const { return {lo_, hi_}; }
-
- private:
-  void byte(unsigned char b) {
-    lo_ = (lo_ ^ b) * kPrime;
-    hi_ = (hi_ ^ b) * kPrime2;
-  }
-
-  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  static constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t lo_ = 0xcbf29ce484222325ULL;
-  std::uint64_t hi_ = 0x84222325cbf29ce4ULL;
-};
 
 void hash_record(Hasher& h, const trace::Record& record) {
   h.u64(record.index());  // discriminate the alternatives

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,6 +22,45 @@ struct Fingerprint {
   std::uint64_t lo = 0;
   std::uint64_t hi = 0;
   friend bool operator==(const Fingerprint&, const Fingerprint&) = default;
+};
+
+/// Two-lane FNV-1a with distinct offset bases; both lanes see the same byte
+/// stream, so a collision requires both 64-bit hashes to collide at once.
+/// The one hasher behind every fingerprint: scenario contexts
+/// (pipeline/context.cpp), lint cache keys, report addresses and study
+/// identities.
+class Hasher {
+ public:
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+  }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void f64(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    u64(bits);
+  }
+  void boolean(bool v) { byte(v ? 1 : 0); }
+  /// The length, then the bytes.
+  void str(std::string_view s) {
+    u64(s.size());
+    for (const char c : s) byte(static_cast<unsigned char>(c));
+  }
+
+  Fingerprint value() const { return {lo_, hi_}; }
+
+ private:
+  void byte(unsigned char b) {
+    lo_ = (lo_ ^ b) * kPrime;
+    hi_ = (hi_ ^ b) * kPrime2;
+  }
+
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  static constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t lo_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hi_ = 0x84222325cbf29ce4ULL;
 };
 
 struct FingerprintHash {

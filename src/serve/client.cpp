@@ -152,8 +152,13 @@ void ClientConnection::handshake() {
 }
 
 ServerMessage ClientConnection::call(const ClientMessage& message) {
+  const std::string payload = encode_client_message(message);
   std::string frame;
-  append_frame(frame, encode_client_message(message));
+  if (!append_frame(frame, payload)) {
+    throw Error(strprintf("request of %zu bytes exceeds the %u-byte RPC "
+                          "frame cap",
+                          payload.size(), kMaxFrameBytes));
+  }
   if (!write_all(fd_, frame)) {
     throw Error(strprintf("request write failed: %s", std::strerror(errno)));
   }

@@ -231,7 +231,15 @@ struct Controller::Impl {
   }
 
   void send_to(Client& client, const ServerMessage& message) {
-    append_frame(client.outbox, encode_server_message(message));
+    const std::string payload = encode_server_message(message);
+    if (!append_frame(client.outbox, payload)) {
+      append_frame(client.outbox,
+                   encode_server_message(ServerMessage(ErrorReply{
+                       RpcErrorCode::kFailed,
+                       strprintf("reply of %zu bytes exceeds the %u-byte "
+                                 "RPC frame cap",
+                                 payload.size(), kMaxFrameBytes)})));
+    }
   }
 
   void send_to_fd(int fd, const ServerMessage& message) {

@@ -1,22 +1,23 @@
 #include "serve/job.hpp"
 
+#include "common/codec.hpp"
 #include "common/crash_point.hpp"
 
 namespace osim::serve {
 
 void encode_spec(std::string& out, const ScenarioSpec& spec) {
-  wire::put_string(out, spec.trace_path);
-  wire::put_f64(out, spec.bandwidth);
-  wire::put_f64(out, spec.latency);
-  wire::put_i64(out, spec.buses);
-  wire::put_i64(out, spec.ports);
-  wire::put_i64(out, spec.eager);
-  wire::put_string(out, spec.collectives);
-  wire::put_string(out, spec.fault_spec);
-  wire::put_string(out, spec.progress_spec);
+  codec::put_string(out, spec.trace_path);
+  codec::put_f64(out, spec.bandwidth);
+  codec::put_f64(out, spec.latency);
+  codec::put_i64(out, spec.buses);
+  codec::put_i64(out, spec.ports);
+  codec::put_i64(out, spec.eager);
+  codec::put_string(out, spec.collectives);
+  codec::put_string(out, spec.fault_spec);
+  codec::put_string(out, spec.progress_spec);
 }
 
-ScenarioSpec decode_spec(wire::Reader& reader) {
+ScenarioSpec decode_spec(codec::Reader& reader) {
   ScenarioSpec spec;
   spec.trace_path = reader.get_string();
   spec.bandwidth = reader.get_f64();
@@ -53,14 +54,14 @@ JobOutcome run_job(const ScenarioSpec& spec,
 
 std::string encode_job_request(const JobRequest& request) {
   std::string out;
-  wire::put_u64(out, request.ticket.hi);
-  wire::put_u64(out, request.ticket.lo);
+  codec::put_u64(out, request.ticket.hi);
+  codec::put_u64(out, request.ticket.lo);
   encode_spec(out, request.spec);
   return out;
 }
 
 std::optional<JobRequest> decode_job_request(std::string_view payload) {
-  wire::Reader reader(payload);
+  codec::Reader reader(payload);
   JobRequest request;
   request.ticket.hi = reader.get_u64();
   request.ticket.lo = reader.get_u64();
@@ -71,16 +72,16 @@ std::optional<JobRequest> decode_job_request(std::string_view payload) {
 
 std::string encode_job_result(const JobResult& result) {
   std::string out;
-  wire::put_u64(out, result.ticket.hi);
-  wire::put_u64(out, result.ticket.lo);
-  wire::put_u8(out, result.ok ? 1 : 0);
-  wire::put_string(out, result.report_json);
-  wire::put_string(out, result.error);
+  codec::put_u64(out, result.ticket.hi);
+  codec::put_u64(out, result.ticket.lo);
+  codec::put_u8(out, result.ok ? 1 : 0);
+  codec::put_string(out, result.report_json);
+  codec::put_string(out, result.error);
   return out;
 }
 
 std::optional<JobResult> decode_job_result(std::string_view payload) {
-  wire::Reader reader(payload);
+  codec::Reader reader(payload);
   JobResult result;
   result.ticket.hi = reader.get_u64();
   result.ticket.lo = reader.get_u64();

@@ -17,9 +17,9 @@
 #include <string>
 #include <string_view>
 
+#include "common/codec.hpp"
 #include "pipeline/fingerprint.hpp"
 #include "pipeline/scenario.hpp"
-#include "serve/wire.hpp"
 #include "store/store.hpp"
 #include "trace/trace.hpp"
 
@@ -27,12 +27,12 @@ namespace osim::serve {
 
 using ScenarioSpec = pipeline::ScenarioSpec;
 
-/// Wire body of a spec (serve/wire.hpp primitives); shared by the client
+/// Wire body of a spec (common/codec.hpp primitives); shared by the client
 /// RPC messages and the controller->worker job frames.
 void encode_spec(std::string& out, const ScenarioSpec& spec);
-/// Strict decode via a wire::Reader the caller owns (so specs can embed in
+/// Strict decode via a codec::Reader the caller owns (so specs can embed in
 /// larger messages); leaves the reader poisoned on malformed input.
-ScenarioSpec decode_spec(wire::Reader& reader);
+ScenarioSpec decode_spec(codec::Reader& reader);
 
 /// Outcome of one job, as the worker reports it.
 struct JobOutcome {

@@ -1,23 +1,18 @@
 #include "serve/protocol.hpp"
 
-#include <cstring>
-
-#include "serve/wire.hpp"
+#include "common/codec.hpp"
 
 namespace osim::serve {
 
+// The handshake is an envelope header without body or CRC.
 std::string handshake_bytes() {
-  std::string out;
-  out.append(kHandshakeMagic);
-  wire::put_u32(out, kProtocolVersion);
-  return out;
+  return codec::begin_envelope(kHandshakeMagic, kProtocolVersion);
 }
 
 bool check_handshake(std::string_view bytes) {
-  if (bytes.size() != kHandshakeBytes) return false;
-  if (bytes.substr(0, kHandshakeMagic.size()) != kHandshakeMagic) return false;
-  wire::Reader reader(bytes.substr(kHandshakeMagic.size()));
-  return reader.get_u32() == kProtocolVersion && reader.done();
+  return bytes.size() == kHandshakeBytes &&
+         codec::peek_envelope(bytes, kHandshakeMagic, kProtocolVersion)
+             .has_value();
 }
 
 const char* rpc_error_code_name(RpcErrorCode code) {
@@ -67,11 +62,11 @@ const char* submit_disposition_name(SubmitDisposition disposition) {
 namespace {
 
 void put_fingerprint(std::string& out, const pipeline::Fingerprint& fp) {
-  wire::put_u64(out, fp.hi);
-  wire::put_u64(out, fp.lo);
+  codec::put_u64(out, fp.hi);
+  codec::put_u64(out, fp.lo);
 }
 
-pipeline::Fingerprint get_fingerprint(wire::Reader& reader) {
+pipeline::Fingerprint get_fingerprint(codec::Reader& reader) {
   pipeline::Fingerprint fp;
   fp.hi = reader.get_u64();
   fp.lo = reader.get_u64();
@@ -83,33 +78,33 @@ pipeline::Fingerprint get_fingerprint(wire::Reader& reader) {
 std::string encode_client_message(const ClientMessage& message) {
   std::string out;
   if (const auto* m = std::get_if<SubmitScenario>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitScenario));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitScenario));
     encode_spec(out, m->spec);
   } else if (const auto* m = std::get_if<SubmitStudy>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitStudy));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitStudy));
     encode_spec(out, m->base);
-    wire::put_u32(out, static_cast<std::uint32_t>(m->bandwidths.size()));
-    for (const double bw : m->bandwidths) wire::put_f64(out, bw);
+    codec::put_u32(out, static_cast<std::uint32_t>(m->bandwidths.size()));
+    for (const double bw : m->bandwidths) codec::put_f64(out, bw);
   } else if (const auto* m = std::get_if<PollStatus>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kPollStatus));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kPollStatus));
     put_fingerprint(out, m->ticket);
-    wire::put_u8(out, m->wait ? 1 : 0);
+    codec::put_u8(out, m->wait ? 1 : 0);
   } else if (const auto* m = std::get_if<FetchReport>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kFetchReport));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kFetchReport));
     put_fingerprint(out, m->ticket);
   } else if (const auto* m = std::get_if<Cancel>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kCancel));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kCancel));
     put_fingerprint(out, m->ticket);
   } else if (std::get_if<ServerStats>(&message) != nullptr) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kServerStats));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kServerStats));
   } else {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kShutdown));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kShutdown));
   }
   return out;
 }
 
 std::optional<ClientMessage> decode_client_message(std::string_view payload) {
-  wire::Reader reader(payload);
+  codec::Reader reader(payload);
   switch (static_cast<MsgType>(reader.get_u8())) {
     case MsgType::kSubmitScenario: {
       SubmitScenario m;
@@ -167,38 +162,38 @@ std::optional<ClientMessage> decode_client_message(std::string_view payload) {
 std::string encode_server_message(const ServerMessage& message) {
   std::string out;
   if (const auto* m = std::get_if<Submitted>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitted));
-    wire::put_u32(out, static_cast<std::uint32_t>(m->tickets.size()));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kSubmitted));
+    codec::put_u32(out, static_cast<std::uint32_t>(m->tickets.size()));
     for (const TicketInfo& t : m->tickets) {
       put_fingerprint(out, t.ticket);
-      wire::put_u8(out, static_cast<std::uint8_t>(t.disposition));
+      codec::put_u8(out, static_cast<std::uint8_t>(t.disposition));
     }
   } else if (const auto* m = std::get_if<StatusReply>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kStatus));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kStatus));
     put_fingerprint(out, m->ticket);
-    wire::put_u8(out, static_cast<std::uint8_t>(m->state));
-    wire::put_u32(out, m->attempts);
-    wire::put_string(out, m->error);
+    codec::put_u8(out, static_cast<std::uint8_t>(m->state));
+    codec::put_u32(out, m->attempts);
+    codec::put_string(out, m->error);
   } else if (const auto* m = std::get_if<ReportReply>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kReport));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kReport));
     put_fingerprint(out, m->ticket);
-    wire::put_string(out, m->report_json);
+    codec::put_string(out, m->report_json);
   } else if (const auto* m = std::get_if<StatsReply>(&message)) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kStats));
-    wire::put_string(out, m->stats_json);
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kStats));
+    codec::put_string(out, m->stats_json);
   } else if (std::get_if<OkReply>(&message) != nullptr) {
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kOk));
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kOk));
   } else {
     const auto& m = std::get<ErrorReply>(message);
-    wire::put_u8(out, static_cast<std::uint8_t>(MsgType::kError));
-    wire::put_u8(out, static_cast<std::uint8_t>(m.code));
-    wire::put_string(out, m.message);
+    codec::put_u8(out, static_cast<std::uint8_t>(MsgType::kError));
+    codec::put_u8(out, static_cast<std::uint8_t>(m.code));
+    codec::put_string(out, m.message);
   }
   return out;
 }
 
 std::optional<ServerMessage> decode_server_message(std::string_view payload) {
-  wire::Reader reader(payload);
+  codec::Reader reader(payload);
   switch (static_cast<MsgType>(reader.get_u8())) {
     case MsgType::kSubmitted: {
       Submitted m;
@@ -265,9 +260,8 @@ std::optional<ServerMessage> decode_server_message(std::string_view payload) {
   }
 }
 
-void append_frame(std::string& out, std::string_view payload) {
-  wire::put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload.data(), payload.size());
+bool append_frame(std::string& out, std::string_view payload) {
+  return codec::put_frame(out, payload, kMaxFrameBytes);
 }
 
 void FrameReader::feed(std::string_view bytes) {
@@ -285,7 +279,7 @@ std::optional<std::string> FrameReader::next() {
   if (error_) return std::nullopt;
   const std::size_t available = buffer_.size() - consumed_;
   if (available < 4) return std::nullopt;
-  wire::Reader header(
+  codec::Reader header(
       std::string_view(buffer_.data() + consumed_, available));
   const std::uint32_t length = header.get_u32();
   if (length > kMaxFrameBytes) {

@@ -6,9 +6,10 @@
 //               version before any frame; a peer with the wrong magic or
 //               version is disconnected, never half-understood.
 //   frames      u32 LE payload length, then the payload: u8 message type +
-//               the message body (serve/wire.hpp primitives). The length
-//               is capped at kMaxFrameBytes and the cap is enforced on the
-//               header alone — a forged length rejects the connection
+//               the message body (common/codec.hpp primitives). The
+//               length is capped at kMaxFrameBytes on both ends: a writer
+//               refuses a larger payload, and a reader judges the cap on
+//               the header alone — a forged length rejects the connection
 //               before any allocation happens.
 //
 // Decoding is strict and total, like every other format in this repo
@@ -200,8 +201,10 @@ std::string encode_server_message(const ServerMessage& message);
 std::optional<ClientMessage> decode_client_message(std::string_view payload);
 std::optional<ServerMessage> decode_server_message(std::string_view payload);
 
-/// Appends the u32 length header + payload to `out`.
-void append_frame(std::string& out, std::string_view payload);
+/// Appends the u32 length header + payload to `out`. A payload over
+/// kMaxFrameBytes is refused: nothing is appended and the result is false
+/// (the peer's FrameReader would poison on it).
+bool append_frame(std::string& out, std::string_view payload);
 
 /// Incremental frame parser over a byte stream. feed() bytes as they
 /// arrive, then drain next() until nullopt. A declared length above

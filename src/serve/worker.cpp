@@ -115,7 +115,17 @@ int run_worker_loop(int fd, const std::string& cache_dir) {
         result.error = outcome.error;
       }
       std::string frame;
-      append_frame(frame, encode_job_result(result));
+      if (!append_frame(frame, encode_job_result(result))) {
+        // A frame over the cap would poison the controller's reader, which
+        // then takes this worker for dead and reruns the job. Answer with a
+        // failed job instead: the report is too large to ship.
+        JobResult refused;
+        refused.ticket = result.ticket;
+        refused.error = strprintf(
+            "run report of %zu bytes exceeds the %u-byte RPC frame cap",
+            result.report_json.size(), kMaxFrameBytes);
+        append_frame(frame, encode_job_result(refused));
+      }
       if (!write_all(fd, frame)) {
         exit_code = 1;
         goto out;

@@ -1,109 +1,17 @@
 #include "store/format.hpp"
 
-#include <cstring>
 #include <utility>
 
-#include "common/crc32.hpp"
+#include "common/codec.hpp"
 #include "metrics/replay_metrics.hpp"
 
 namespace osim::store {
 
 namespace {
 
-// Little-endian fixed-width primitives. The store is an on-disk cache that
-// may be shared between machines via network filesystems, so the byte
-// order is pinned rather than host-native.
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-// Readers advance `pos` and return false on a short buffer; decode keeps
-// threading the failure up instead of throwing.
-
-bool get_u32(std::string_view in, std::size_t& pos, std::uint32_t& v) {
-  if (in.size() - pos < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return true;
-}
-
-bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v) {
-  if (in.size() - pos < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
-bool get_f64(std::string_view in, std::size_t& pos, double& v) {
-  std::uint64_t bits = 0;
-  if (!get_u64(in, pos, bits)) return false;
-  std::memcpy(&v, &bits, sizeof(v));
-  return true;
-}
-
-bool get_u8(std::string_view in, std::size_t& pos, std::uint8_t& v) {
-  if (in.size() - pos < 1) return false;
-  v = static_cast<std::uint8_t>(in[pos]);
-  pos += 1;
-  return true;
-}
-
-void put_counts(std::string& out, const faults::Counts& c) {
-  put_u8(out, c.enabled ? 1 : 0);
-  put_u64(out, c.seed);
-  put_u64(out, c.messages_dropped);
-  put_u64(out, c.retransmits);
-  put_u64(out, c.handshake_reissues);
-  put_u64(out, c.hard_stalls);
-  put_u64(out, c.degraded_transfers);
-  put_u64(out, c.perturbed_bursts);
-  put_u64(out, c.straggled_bursts);
-  put_f64(out, c.injected_delay_s);
-  put_f64(out, c.injected_compute_s);
-}
-
-bool get_counts(std::string_view in, std::size_t& pos, faults::Counts& c) {
-  std::uint8_t enabled = 0;
-  if (!get_u8(in, pos, enabled)) return false;
-  if (enabled > 1) return false;  // a flipped bool byte is damage, not data
-  c.enabled = enabled == 1;
-  return get_u64(in, pos, c.seed) && get_u64(in, pos, c.messages_dropped) &&
-         get_u64(in, pos, c.retransmits) &&
-         get_u64(in, pos, c.handshake_reissues) &&
-         get_u64(in, pos, c.hard_stalls) &&
-         get_u64(in, pos, c.degraded_transfers) &&
-         get_u64(in, pos, c.perturbed_bursts) &&
-         get_u64(in, pos, c.straggled_bursts) &&
-         get_f64(in, pos, c.injected_delay_s) &&
-         get_f64(in, pos, c.injected_compute_s);
-}
+using codec::put_f64;
+using codec::put_u64;
+using codec::put_u8;
 
 void put_rank_stats(std::string& out, const dimemas::RankStats& s) {
   put_f64(out, s.compute_s);
@@ -117,19 +25,18 @@ void put_rank_stats(std::string& out, const dimemas::RankStats& s) {
   put_u64(out, s.bytes_received);
 }
 
-bool get_rank_stats(std::string_view in, std::size_t& pos,
-                    dimemas::RankStats& s) {
-  return get_f64(in, pos, s.compute_s) && get_f64(in, pos, s.send_blocked_s) &&
-         get_f64(in, pos, s.recv_blocked_s) &&
-         get_f64(in, pos, s.wait_blocked_s) && get_f64(in, pos, s.finish_time) &&
-         get_u64(in, pos, s.messages_sent) &&
-         get_u64(in, pos, s.messages_received) &&
-         get_u64(in, pos, s.bytes_sent) && get_u64(in, pos, s.bytes_received);
-}
-
-void put_str(std::string& out, const std::string& s) {
-  put_u64(out, s.size());
-  out += s;
+dimemas::RankStats get_rank_stats(codec::Reader& in) {
+  dimemas::RankStats s;
+  s.compute_s = in.get_f64();
+  s.send_blocked_s = in.get_f64();
+  s.recv_blocked_s = in.get_f64();
+  s.wait_blocked_s = in.get_f64();
+  s.finish_time = in.get_f64();
+  s.messages_sent = in.get_u64();
+  s.messages_received = in.get_u64();
+  s.bytes_sent = in.get_u64();
+  s.bytes_received = in.get_u64();
+  return s;
 }
 
 /// Upper bound on stored rank counts: a flipped length byte must fail the
@@ -142,19 +49,39 @@ constexpr std::uint64_t kMaxRanks = 1u << 20;
 constexpr std::uint64_t kMaxStringBytes = 1u << 24;
 constexpr std::uint64_t kMaxDiagnostics = 1u << 22;
 
-bool get_str(std::string_view in, std::size_t& pos, std::string& s) {
-  std::uint64_t size = 0;
-  if (!get_u64(in, pos, size)) return false;
-  if (size > kMaxStringBytes || size > in.size() - pos) return false;
-  s.assign(in.substr(pos, size));
-  pos += size;
-  return true;
+/// The envelope every object kind shares: magic, version, then the
+/// content address, u64 payload size and the payload, then the CRC.
+std::string seal_object(std::string_view magic, std::uint32_t version,
+                        const pipeline::Fingerprint& fp,
+                        std::string_view payload) {
+  std::string out = codec::begin_envelope(magic, version);
+  out.reserve(magic.size() + 28 + payload.size() + 4);
+  put_u64(out, fp.hi);
+  put_u64(out, fp.lo);
+  put_u64(out, payload.size());
+  out.append(payload);
+  codec::seal_envelope(out, magic);
+  return out;
 }
 
-std::uint32_t object_crc(std::string_view bytes_after_magic) {
-  Crc32 crc;
-  crc.update(bytes_after_magic.data(), bytes_after_magic.size());
-  return crc.value();
+/// Opens the envelope of one object kind: nullopt on a foreign magic,
+/// version skew, a CRC mismatch or a payload size that disagrees with the
+/// bytes present. Integrity comes before interpretation: the CRC covers
+/// version, address, size and payload, so a single flipped bit anywhere
+/// is rejected before a field is read.
+std::optional<codec::Reader> open_object(std::string_view bytes,
+                                         std::string_view magic,
+                                         std::uint32_t version,
+                                         pipeline::Fingerprint& fp) {
+  std::optional<codec::Reader> body =
+      codec::open_envelope(bytes, magic, version);
+  if (!body.has_value()) return std::nullopt;
+  fp.hi = body->get_u64();
+  fp.lo = body->get_u64();
+  if (body->get_u64() != body->remaining() || !body->ok()) {
+    return std::nullopt;
+  }
+  return body;
 }
 
 }  // namespace
@@ -166,72 +93,32 @@ std::string encode_object(const pipeline::Fingerprint& fp,
   put_u64(payload, artifact.des_events);
   put_f64(payload, artifact.fault_wait_s);
   put_f64(payload, artifact.progress_wait_s);
-  put_counts(payload, artifact.fault_counts);
+  faults::put_counts(payload, artifact.fault_counts);
   put_u64(payload, artifact.rank_stats.size());
   for (const dimemas::RankStats& s : artifact.rank_stats) {
     put_rank_stats(payload, s);
   }
-
-  std::string out;
-  out.reserve(kObjectMagic.size() + 28 + payload.size() + 4);
-  out.append(kObjectMagic);
-  put_u32(out, kObjectVersion);
-  put_u64(out, fp.hi);
-  put_u64(out, fp.lo);
-  put_u64(out, payload.size());
-  out += payload;
-  put_u32(out, object_crc(
-                   std::string_view(out).substr(kObjectMagic.size())));
-  return out;
+  return seal_object(kObjectMagic, kObjectVersion, fp, payload);
 }
 
 std::optional<DecodedObject> decode_object(std::string_view bytes) {
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic..payload_bytes
-  if (bytes.size() < kHeader + 4) return std::nullopt;
-  if (bytes.substr(0, kObjectMagic.size()) != kObjectMagic) {
-    return std::nullopt;
-  }
-  // Integrity before interpretation: the CRC covers everything after the
-  // magic (version, address, sizes, payload), so a single flipped bit
-  // anywhere the footer can see is rejected here.
-  std::size_t tail = bytes.size() - 4;
-  std::uint32_t stored_crc = 0;
-  if (!get_u32(bytes, tail, stored_crc)) return std::nullopt;
-  if (object_crc(bytes.substr(kObjectMagic.size(),
-                              bytes.size() - kObjectMagic.size() - 4)) !=
-      stored_crc) {
-    return std::nullopt;
-  }
-
-  std::size_t pos = kObjectMagic.size();
-  std::uint32_t version = 0;
-  if (!get_u32(bytes, pos, version)) return std::nullopt;
-  if (version != kObjectVersion) return std::nullopt;  // skew = miss
-
   DecodedObject decoded;
-  std::uint64_t payload_bytes = 0;
-  if (!get_u64(bytes, pos, decoded.fingerprint.hi) ||
-      !get_u64(bytes, pos, decoded.fingerprint.lo) ||
-      !get_u64(bytes, pos, payload_bytes)) {
-    return std::nullopt;
-  }
-  if (payload_bytes != bytes.size() - kHeader - 4) return std::nullopt;
-
+  std::optional<codec::Reader> in =
+      open_object(bytes, kObjectMagic, kObjectVersion, decoded.fingerprint);
+  if (!in.has_value()) return std::nullopt;
   ScenarioArtifact& a = decoded.artifact;
-  std::uint64_t rank_count = 0;
-  if (!get_f64(bytes, pos, a.makespan) || !get_u64(bytes, pos, a.des_events) ||
-      !get_f64(bytes, pos, a.fault_wait_s) ||
-      !get_f64(bytes, pos, a.progress_wait_s) ||
-      !get_counts(bytes, pos, a.fault_counts) ||
-      !get_u64(bytes, pos, rank_count)) {
-    return std::nullopt;
+  a.makespan = in->get_f64();
+  a.des_events = in->get_u64();
+  a.fault_wait_s = in->get_f64();
+  a.progress_wait_s = in->get_f64();
+  a.fault_counts = faults::get_counts(*in);
+  const std::uint64_t rank_count = in->get_u64();
+  if (!in->ok() || rank_count > kMaxRanks) return std::nullopt;
+  a.rank_stats.reserve(rank_count);
+  for (std::uint64_t r = 0; r < rank_count && in->ok(); ++r) {
+    a.rank_stats.push_back(get_rank_stats(*in));
   }
-  if (rank_count > kMaxRanks) return std::nullopt;
-  a.rank_stats.resize(rank_count);
-  for (dimemas::RankStats& s : a.rank_stats) {
-    if (!get_rank_stats(bytes, pos, s)) return std::nullopt;
-  }
-  if (pos != bytes.size() - 4) return std::nullopt;  // trailing payload bytes
+  if (!in->done()) return std::nullopt;  // short or trailing payload bytes
   return decoded;
 }
 
@@ -266,149 +153,64 @@ std::string encode_lint_object(const pipeline::Fingerprint& fp,
   put_u64(payload, report.diagnostics().size());
   for (const lint::Diagnostic& d : report.diagnostics()) {
     put_u8(payload, static_cast<std::uint8_t>(d.severity));
-    put_str(payload, d.pass);
-    put_str(payload, d.code);
-    put_u64(payload, static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(d.rank)));
-    put_u64(payload, static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(d.record)));
-    put_str(payload, d.message);
-    put_str(payload, d.evidence);
+    codec::put_string64(payload, d.pass);
+    codec::put_string64(payload, d.code);
+    codec::put_i64(payload, d.rank);
+    codec::put_i64(payload, d.record);
+    codec::put_string64(payload, d.message);
+    codec::put_string64(payload, d.evidence);
   }
-
-  std::string out;
-  out.reserve(kLintObjectMagic.size() + 28 + payload.size() + 4);
-  out.append(kLintObjectMagic);
-  put_u32(out, kLintObjectVersion);
-  put_u64(out, fp.hi);
-  put_u64(out, fp.lo);
-  put_u64(out, payload.size());
-  out += payload;
-  put_u32(out, object_crc(
-                   std::string_view(out).substr(kLintObjectMagic.size())));
-  return out;
+  return seal_object(kLintObjectMagic, kLintObjectVersion, fp, payload);
 }
 
 std::optional<DecodedLintObject> decode_lint_object(std::string_view bytes) {
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic..payload_bytes
-  if (bytes.size() < kHeader + 4) return std::nullopt;
-  if (bytes.substr(0, kLintObjectMagic.size()) != kLintObjectMagic) {
-    return std::nullopt;
-  }
-  std::size_t tail = bytes.size() - 4;
-  std::uint32_t stored_crc = 0;
-  if (!get_u32(bytes, tail, stored_crc)) return std::nullopt;
-  if (object_crc(bytes.substr(kLintObjectMagic.size(),
-                              bytes.size() - kLintObjectMagic.size() - 4)) !=
-      stored_crc) {
-    return std::nullopt;
-  }
-
-  std::size_t pos = kLintObjectMagic.size();
-  std::uint32_t version = 0;
-  if (!get_u32(bytes, pos, version)) return std::nullopt;
-  if (version != kLintObjectVersion) return std::nullopt;  // skew = miss
-
   DecodedLintObject decoded;
-  std::uint64_t payload_bytes = 0;
-  if (!get_u64(bytes, pos, decoded.fingerprint.hi) ||
-      !get_u64(bytes, pos, decoded.fingerprint.lo) ||
-      !get_u64(bytes, pos, payload_bytes)) {
-    return std::nullopt;
-  }
-  if (payload_bytes != bytes.size() - kHeader - 4) return std::nullopt;
-
-  std::uint64_t count = 0;
-  if (!get_u64(bytes, pos, count)) return std::nullopt;
+  std::optional<codec::Reader> in = open_object(
+      bytes, kLintObjectMagic, kLintObjectVersion, decoded.fingerprint);
+  if (!in.has_value()) return std::nullopt;
+  const std::uint64_t count = in->get_u64();
   if (count > kMaxDiagnostics) return std::nullopt;
   for (std::uint64_t i = 0; i < count; ++i) {
     lint::Diagnostic d;
-    std::uint8_t severity = 0;
-    std::uint64_t rank = 0;
-    std::uint64_t record = 0;
-    if (!get_u8(bytes, pos, severity) || severity > 2 ||
-        !get_str(bytes, pos, d.pass) || !get_str(bytes, pos, d.code) ||
-        !get_u64(bytes, pos, rank) || !get_u64(bytes, pos, record) ||
-        !get_str(bytes, pos, d.message) || !get_str(bytes, pos, d.evidence)) {
-      return std::nullopt;
-    }
+    const std::uint8_t severity = in->get_u8();
+    d.pass = in->get_string64(kMaxStringBytes);
+    d.code = in->get_string64(kMaxStringBytes);
+    d.rank = static_cast<trace::Rank>(in->get_i64());
+    d.record = static_cast<std::ptrdiff_t>(in->get_i64());
+    d.message = in->get_string64(kMaxStringBytes);
+    d.evidence = in->get_string64(kMaxStringBytes);
+    if (!in->ok() || severity > 2) return std::nullopt;
     d.severity = static_cast<lint::Severity>(severity);
-    d.rank = static_cast<trace::Rank>(static_cast<std::int64_t>(rank));
-    d.record =
-        static_cast<std::ptrdiff_t>(static_cast<std::int64_t>(record));
     decoded.report.add(std::move(d));
   }
-  if (pos != bytes.size() - 4) return std::nullopt;  // trailing payload bytes
+  if (!in->done()) return std::nullopt;  // short or trailing payload bytes
   return decoded;
 }
 
 pipeline::Fingerprint report_address(const pipeline::Fingerprint& scenario) {
-  // Same two-lane FNV-1a construction as the context fingerprints
-  // (pipeline/context.cpp), folded over a domain tag so a report address
-  // can never equal the scenario fingerprint it derives from.
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t lo = 0xcbf29ce484222325ULL;
-  std::uint64_t hi = 0x84222325cbf29ce4ULL;
-  const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      const auto b = static_cast<unsigned char>(v >> (8 * i));
-      lo = (lo ^ b) * kPrime;
-      hi = (hi ^ b) * kPrime2;
-    }
-  };
-  mix_u64(0x52505254);  // domain tag "RPRT"
-  mix_u64(scenario.lo);
-  mix_u64(scenario.hi);
-  mix_u64(kReportObjectVersion);
-  return pipeline::Fingerprint{lo, hi};
+  // Folded over a domain tag so a report address can never equal the
+  // scenario fingerprint it derives from.
+  pipeline::Hasher h;
+  h.u64(0x52505254);  // domain tag "RPRT"
+  h.u64(scenario.lo);
+  h.u64(scenario.hi);
+  h.u64(kReportObjectVersion);
+  return h.value();
 }
 
 std::string encode_report_object(const pipeline::Fingerprint& fp,
                                  std::string_view report_json) {
-  std::string out;
-  out.reserve(kReportObjectMagic.size() + 28 + report_json.size() + 4);
-  out.append(kReportObjectMagic);
-  put_u32(out, kReportObjectVersion);
-  put_u64(out, fp.hi);
-  put_u64(out, fp.lo);
-  put_u64(out, report_json.size());
-  out.append(report_json);
-  put_u32(out, object_crc(
-                   std::string_view(out).substr(kReportObjectMagic.size())));
-  return out;
+  return seal_object(kReportObjectMagic, kReportObjectVersion, fp,
+                         report_json);
 }
 
 std::optional<DecodedReportObject> decode_report_object(
     std::string_view bytes) {
-  constexpr std::size_t kHeader = 8 + 4 + 8 + 8 + 8;  // magic..payload_bytes
-  if (bytes.size() < kHeader + 4) return std::nullopt;
-  if (bytes.substr(0, kReportObjectMagic.size()) != kReportObjectMagic) {
-    return std::nullopt;
-  }
-  std::size_t tail = bytes.size() - 4;
-  std::uint32_t stored_crc = 0;
-  if (!get_u32(bytes, tail, stored_crc)) return std::nullopt;
-  if (object_crc(bytes.substr(kReportObjectMagic.size(),
-                              bytes.size() - kReportObjectMagic.size() - 4)) !=
-      stored_crc) {
-    return std::nullopt;
-  }
-
-  std::size_t pos = kReportObjectMagic.size();
-  std::uint32_t version = 0;
-  if (!get_u32(bytes, pos, version)) return std::nullopt;
-  if (version != kReportObjectVersion) return std::nullopt;  // skew = miss
-
   DecodedReportObject decoded;
-  std::uint64_t payload_bytes = 0;
-  if (!get_u64(bytes, pos, decoded.fingerprint.hi) ||
-      !get_u64(bytes, pos, decoded.fingerprint.lo) ||
-      !get_u64(bytes, pos, payload_bytes)) {
-    return std::nullopt;
-  }
-  if (payload_bytes != bytes.size() - kHeader - 4) return std::nullopt;
-  decoded.report_json.assign(bytes.substr(pos, payload_bytes));
+  std::optional<codec::Reader> in = open_object(
+      bytes, kReportObjectMagic, kReportObjectVersion, decoded.fingerprint);
+  if (!in.has_value()) return std::nullopt;
+  decoded.report_json.assign(in->get_bytes(in->remaining()));
   return decoded;
 }
 

@@ -18,7 +18,7 @@
 #endif
 
 #include "common/crash_point.hpp"
-#include "common/crc32.hpp"
+#include "common/codec.hpp"
 #include "common/expect.hpp"
 #include "common/strings.hpp"
 
@@ -136,46 +136,6 @@ void write_file_atomic(const fs::path& path, const std::string& bytes,
   maybe_crash("store.publish.renamed");
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-bool get_u32(std::string_view in, std::size_t& pos, std::uint32_t& v) {
-  if (in.size() - pos < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return true;
-}
-
-bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v) {
-  if (in.size() - pos < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
-std::uint32_t crc_of(std::string_view bytes) {
-  Crc32 crc;
-  crc.update(bytes.data(), bytes.size());
-  return crc.value();
-}
-
 }  // namespace
 
 // --- index (de)serialization -------------------------------------------------
@@ -191,13 +151,11 @@ struct IndexCodec {
   static std::string encode(std::uint64_t clock,
                             const std::vector<std::uint64_t>& flat) {
     // flat holds 5 u64 per entry: hi, lo, bytes, last_access, hits.
-    std::string out;
-    out.append(kIndexMagic);
-    put_u32(out, kIndexVersion);
-    put_u64(out, clock);
-    put_u64(out, flat.size() / 5);
-    for (const std::uint64_t v : flat) put_u64(out, v);
-    put_u32(out, crc_of(std::string_view(out).substr(kIndexMagic.size())));
+    std::string out = codec::begin_envelope(kIndexMagic, kIndexVersion);
+    codec::put_u64(out, clock);
+    codec::put_u64(out, flat.size() / 5);
+    for (const std::uint64_t v : flat) codec::put_u64(out, v);
+    codec::seal_envelope(out, kIndexMagic);
     return out;
   }
 
@@ -205,37 +163,30 @@ struct IndexCodec {
   /// CRC needs the whole file, so this alone is what an access can afford.
   static bool decode_head(std::string_view head, std::uint64_t size,
                           std::uint64_t& clock, std::uint64_t& count) {
-    if (head.size() < kHeader || size < kHeader + 4) return false;
-    if (head.substr(0, kIndexMagic.size()) != kIndexMagic) return false;
-    std::size_t pos = kIndexMagic.size();
-    std::uint32_t version = 0;
-    if (!get_u32(head, pos, version) || version != kIndexVersion ||
-        !get_u64(head, pos, clock) || !get_u64(head, pos, count)) {
-      return false;
-    }
-    return (size - kHeader - 4) % 40 == 0 &&
+    if (size < kHeader + 4) return false;
+    std::optional<codec::Reader> in =
+        codec::peek_envelope(head, kIndexMagic, kIndexVersion);
+    if (!in.has_value()) return false;
+    clock = in->get_u64();
+    count = in->get_u64();
+    return in->ok() && (size - kHeader - 4) % 40 == 0 &&
            count == (size - kHeader - 4) / 40;
   }
 
   /// Sets `clock` and `flat` only when the whole index checks out.
   static bool decode(std::string_view bytes, std::uint64_t& clock,
                      std::vector<std::uint64_t>& flat) {
-    std::uint64_t head_clock = 0;
-    std::uint64_t count = 0;
-    if (!decode_head(bytes, bytes.size(), head_clock, count)) return false;
-    std::size_t tail = bytes.size() - 4;
-    std::uint32_t stored_crc = 0;
-    if (!get_u32(bytes, tail, stored_crc) ||
-        crc_of(bytes.substr(kIndexMagic.size(),
-                            bytes.size() - kIndexMagic.size() - 4)) !=
-            stored_crc) {
+    std::optional<codec::Reader> in =
+        codec::open_envelope(bytes, kIndexMagic, kIndexVersion);
+    if (!in.has_value()) return false;
+    const std::uint64_t head_clock = in->get_u64();
+    const std::uint64_t count = in->get_u64();
+    if (!in->ok() || in->remaining() % 40 != 0 ||
+        count != in->remaining() / 40) {
       return false;
     }
-    std::size_t pos = kHeader;
     flat.resize(count * 5);
-    for (std::uint64_t& v : flat) {
-      if (!get_u64(bytes, pos, v)) return false;
-    }
+    for (std::uint64_t& v : flat) v = in->get_u64();
     clock = head_clock;
     return true;
   }
@@ -268,34 +219,29 @@ struct ParsedLog {
 };
 
 std::string encode_log_header(std::uint64_t base) {
-  std::string out(kLogMagic);
-  put_u32(out, kLogVersion);
-  put_u64(out, base);
-  put_u32(out, crc_of(std::string_view(out).substr(kLogMagic.size())));
+  std::string out = codec::begin_envelope(kLogMagic, kLogVersion);
+  codec::put_u64(out, base);
+  codec::seal_envelope(out, kLogMagic);
   return out;
 }
 
+/// Reads only the first kIndexLogHeaderBytes of `bytes`.
 bool decode_log_header(std::string_view bytes, std::uint64_t& base) {
-  if (bytes.size() < kIndexLogHeaderBytes ||
-      bytes.substr(0, kLogMagic.size()) != kLogMagic) {
-    return false;
-  }
-  std::size_t pos = kLogMagic.size();
-  std::uint32_t version = 0;
-  std::uint32_t crc = 0;
-  return get_u32(bytes, pos, version) && version == kLogVersion &&
-         get_u64(bytes, pos, base) && get_u32(bytes, pos, crc) &&
-         crc == crc_of(bytes.substr(kLogMagic.size(), 12));
+  std::optional<codec::Reader> in = codec::open_envelope(
+      bytes.substr(0, kIndexLogHeaderBytes), kLogMagic, kLogVersion);
+  if (!in.has_value()) return false;
+  base = in->get_u64();
+  return in->done();
 }
 
 std::string encode_log_record(const pipeline::Fingerprint& fp,
                               std::uint64_t bytes, LogKind kind) {
   std::string out;
-  put_u64(out, fp.hi);
-  put_u64(out, fp.lo);
-  put_u64(out, bytes);
-  put_u32(out, static_cast<std::uint32_t>(kind));
-  put_u32(out, crc_of(out));
+  codec::put_u64(out, fp.hi);
+  codec::put_u64(out, fp.lo);
+  codec::put_u64(out, bytes);
+  codec::put_u32(out, static_cast<std::uint32_t>(kind));
+  codec::seal_record(out);
   return out;
 }
 
@@ -306,21 +252,17 @@ ParsedLog parse_log(std::string_view bytes) {
   std::string_view body = bytes.substr(kIndexLogHeaderBytes);
   for (; body.size() >= kIndexLogRecordBytes;
        body.remove_prefix(kIndexLogRecordBytes)) {
-    const std::string_view slot = body.substr(0, kIndexLogRecordBytes);
-    LogRecord record;
-    std::size_t pos = 0;
-    std::uint32_t kind = 0;
-    std::uint32_t crc = 0;
-    get_u64(slot, pos, record.fp.hi);
-    get_u64(slot, pos, record.fp.lo);
-    get_u64(slot, pos, record.bytes);
-    get_u32(slot, pos, kind);
-    get_u32(slot, pos, crc);
-    record.kind = static_cast<LogKind>(kind);
-    record.intact = crc == crc_of(slot.substr(0, kIndexLogRecordBytes - 4)) &&
-                    (record.kind == LogKind::kSave ||
-                     record.kind == LogKind::kHit);
-    parsed.records.push_back(record);
+    // A damaged record keeps its slot (and so its clock) but no content.
+    LogRecord& record = parsed.records.emplace_back();
+    std::optional<codec::Reader> in =
+        codec::open_record(body.substr(0, kIndexLogRecordBytes));
+    if (!in.has_value()) continue;
+    record.fp.hi = in->get_u64();
+    record.fp.lo = in->get_u64();
+    record.bytes = in->get_u64();
+    record.kind = static_cast<LogKind>(in->get_u32());
+    record.intact = in->done() && (record.kind == LogKind::kSave ||
+                                   record.kind == LogKind::kHit);
   }
   parsed.torn_bytes = body.size();
   return parsed;

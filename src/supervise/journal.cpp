@@ -1,12 +1,11 @@
 #include "supervise/journal.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
+#include "common/codec.hpp"
 #include "common/crash_point.hpp"
-#include "common/crc32.hpp"
 #include "common/expect.hpp"
 
 namespace osim::supervise {
@@ -14,103 +13,6 @@ namespace osim::supervise {
 namespace fs = std::filesystem;
 
 namespace {
-
-// Little-endian fixed-width primitives, mirroring store/format.cpp (the
-// journal shares the store root, so it pins byte order the same way).
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-bool get_u32(std::string_view in, std::size_t& pos, std::uint32_t& v) {
-  if (in.size() - pos < 4) return false;
-  v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 4;
-  return true;
-}
-
-bool get_u64(std::string_view in, std::size_t& pos, std::uint64_t& v) {
-  if (in.size() - pos < 8) return false;
-  v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[pos + i]))
-         << (8 * i);
-  }
-  pos += 8;
-  return true;
-}
-
-bool get_f64(std::string_view in, std::size_t& pos, double& v) {
-  std::uint64_t bits = 0;
-  if (!get_u64(in, pos, bits)) return false;
-  std::memcpy(&v, &bits, sizeof(v));
-  return true;
-}
-
-bool get_u8(std::string_view in, std::size_t& pos, std::uint8_t& v) {
-  if (in.size() - pos < 1) return false;
-  v = static_cast<std::uint8_t>(in[pos]);
-  pos += 1;
-  return true;
-}
-
-void put_counts(std::string& out, const faults::Counts& c) {
-  put_u8(out, c.enabled ? 1 : 0);
-  put_u64(out, c.seed);
-  put_u64(out, c.messages_dropped);
-  put_u64(out, c.retransmits);
-  put_u64(out, c.handshake_reissues);
-  put_u64(out, c.hard_stalls);
-  put_u64(out, c.degraded_transfers);
-  put_u64(out, c.perturbed_bursts);
-  put_u64(out, c.straggled_bursts);
-  put_f64(out, c.injected_delay_s);
-  put_f64(out, c.injected_compute_s);
-}
-
-bool get_counts(std::string_view in, std::size_t& pos, faults::Counts& c) {
-  std::uint8_t enabled = 0;
-  if (!get_u8(in, pos, enabled)) return false;
-  if (enabled > 1) return false;
-  c.enabled = enabled == 1;
-  return get_u64(in, pos, c.seed) && get_u64(in, pos, c.messages_dropped) &&
-         get_u64(in, pos, c.retransmits) &&
-         get_u64(in, pos, c.handshake_reissues) &&
-         get_u64(in, pos, c.hard_stalls) &&
-         get_u64(in, pos, c.degraded_transfers) &&
-         get_u64(in, pos, c.perturbed_bursts) &&
-         get_u64(in, pos, c.straggled_bursts) &&
-         get_f64(in, pos, c.injected_delay_s) &&
-         get_f64(in, pos, c.injected_compute_s);
-}
-
-std::uint32_t crc_of(std::string_view bytes) {
-  Crc32 crc;
-  crc.update(bytes.data(), bytes.size());
-  return crc.value();
-}
 
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8 + 4;
 /// Records are tiny; anything claiming to be bigger is damage, and
@@ -122,44 +24,39 @@ constexpr std::uint8_t kKindScenario = 0;
 constexpr std::uint8_t kKindComplete = 1;
 
 std::string encode_header(const pipeline::Fingerprint& study) {
-  std::string out;
-  out.append(kJournalMagic);
-  put_u32(out, kJournalVersion);
-  put_u64(out, study.hi);
-  put_u64(out, study.lo);
-  put_u32(out, crc_of(std::string_view(out).substr(kJournalMagic.size())));
+  std::string out = codec::begin_envelope(kJournalMagic, kJournalVersion);
+  codec::put_u64(out, study.hi);
+  codec::put_u64(out, study.lo);
+  codec::seal_envelope(out, kJournalMagic);
   return out;
 }
 
 std::string encode_entry_payload(const JournalEntry& entry) {
   std::string payload;
-  put_u8(payload, kKindScenario);
-  put_u64(payload, entry.fingerprint.hi);
-  put_u64(payload, entry.fingerprint.lo);
-  put_u8(payload, static_cast<std::uint8_t>(entry.status));
-  put_f64(payload, entry.makespan);
-  put_f64(payload, entry.fault_wait_s);
-  put_f64(payload, entry.progress_wait_s);
-  put_f64(payload, entry.partial_blocked_s);
-  put_counts(payload, entry.fault_counts);
+  codec::put_u8(payload, kKindScenario);
+  codec::put_u64(payload, entry.fingerprint.hi);
+  codec::put_u64(payload, entry.fingerprint.lo);
+  codec::put_u8(payload, static_cast<std::uint8_t>(entry.status));
+  codec::put_f64(payload, entry.makespan);
+  codec::put_f64(payload, entry.fault_wait_s);
+  codec::put_f64(payload, entry.progress_wait_s);
+  codec::put_f64(payload, entry.partial_blocked_s);
+  faults::put_counts(payload, entry.fault_counts);
   return payload;
 }
 
-bool decode_entry_payload(std::string_view payload, JournalEntry& entry) {
-  std::size_t pos = 1;  // kind byte already consumed by the caller
-  std::uint8_t status = 0;
-  if (!get_u64(payload, pos, entry.fingerprint.hi) ||
-      !get_u64(payload, pos, entry.fingerprint.lo) ||
-      !get_u8(payload, pos, status) ||
-      !get_f64(payload, pos, entry.makespan) ||
-      !get_f64(payload, pos, entry.fault_wait_s) ||
-      !get_f64(payload, pos, entry.progress_wait_s) ||
-      !get_f64(payload, pos, entry.partial_blocked_s) ||
-      !get_counts(payload, pos, entry.fault_counts)) {
-    return false;
-  }
-  if (pos != payload.size()) return false;
-  if (status > static_cast<std::uint8_t>(ScenarioStatus::kSkippedResume)) {
+/// Decodes the rest of a scenario payload (its kind byte already read).
+bool decode_entry_payload(codec::Reader& in, JournalEntry& entry) {
+  entry.fingerprint.hi = in.get_u64();
+  entry.fingerprint.lo = in.get_u64();
+  const std::uint8_t status = in.get_u8();
+  entry.makespan = in.get_f64();
+  entry.fault_wait_s = in.get_f64();
+  entry.progress_wait_s = in.get_f64();
+  entry.partial_blocked_s = in.get_f64();
+  entry.fault_counts = faults::get_counts(in);
+  if (!in.done() ||
+      status > static_cast<std::uint8_t>(ScenarioStatus::kSkippedResume)) {
     return false;
   }
   entry.status = static_cast<ScenarioStatus>(status);
@@ -180,51 +77,39 @@ struct ParsedJournal {
 /// prefix. A header that fails any check leaves valid_header == false.
 ParsedJournal parse_journal(std::string_view bytes) {
   ParsedJournal parsed;
-  if (bytes.size() < kHeaderBytes) return parsed;
-  if (bytes.substr(0, kJournalMagic.size()) != kJournalMagic) return parsed;
-  std::size_t pos = kJournalMagic.size();
-  std::uint32_t version = 0;
-  std::uint32_t header_crc = 0;
-  const std::size_t crc_begin = pos;
-  if (!get_u32(bytes, pos, version) || version != kJournalVersion) {
-    return parsed;
-  }
-  if (!get_u64(bytes, pos, parsed.study.hi) ||
-      !get_u64(bytes, pos, parsed.study.lo)) {
-    return parsed;
-  }
-  const std::size_t crc_end = pos;
-  if (!get_u32(bytes, pos, header_crc) ||
-      header_crc != crc_of(bytes.substr(crc_begin, crc_end - crc_begin))) {
-    return parsed;
-  }
+  std::optional<codec::Reader> header = codec::open_envelope(
+      bytes.substr(0, kHeaderBytes), kJournalMagic, kJournalVersion);
+  if (!header.has_value()) return parsed;
+  parsed.study.hi = header->get_u64();
+  parsed.study.lo = header->get_u64();
+  if (!header->done()) return parsed;
   parsed.valid_header = true;
-  parsed.valid_end = pos;
+  parsed.valid_end = kHeaderBytes;
 
-  while (pos < bytes.size()) {
-    std::size_t record_pos = pos;
-    std::uint32_t payload_bytes = 0;
-    if (!get_u32(bytes, record_pos, payload_bytes)) break;
-    if (payload_bytes == 0 || payload_bytes > kMaxPayloadBytes) break;
-    if (bytes.size() - record_pos < payload_bytes + 4u) break;
-    const std::string_view payload = bytes.substr(record_pos, payload_bytes);
-    record_pos += payload_bytes;
-    std::uint32_t payload_crc = 0;
-    if (!get_u32(bytes, record_pos, payload_crc)) break;
-    if (payload_crc != crc_of(payload)) break;
-    const auto kind = static_cast<std::uint8_t>(payload[0]);
-    if (kind == kKindScenario) {
-      JournalEntry entry;
-      if (!decode_entry_payload(payload, entry)) break;
-      if (entry.status == ScenarioStatus::kOk) ++parsed.ok;
-      parsed.entries.push_back(entry);
-    } else if (kind == kKindComplete) {
-      if (payload.size() != 1) break;
-      parsed.complete = true;
-    } else {
+  // Records: u32 payload length, then the payload as a CRC'd record.
+  for (std::size_t pos = kHeaderBytes; pos < bytes.size();) {
+    codec::Reader framing(bytes.substr(pos));
+    const std::uint32_t payload_bytes = framing.get_u32();
+    if (!framing.ok() || payload_bytes == 0 ||
+        payload_bytes > kMaxPayloadBytes ||
+        framing.remaining() < payload_bytes + 4u) {
       break;
     }
-    pos = record_pos;
+    std::optional<codec::Reader> payload =
+        codec::open_record(bytes.substr(pos + 4, payload_bytes + 4u));
+    if (!payload.has_value()) break;
+    const std::uint8_t kind = payload->get_u8();
+    if (kind == kKindScenario) {
+      JournalEntry entry;
+      if (!decode_entry_payload(*payload, entry)) break;
+      if (entry.status == ScenarioStatus::kOk) ++parsed.ok;
+      parsed.entries.push_back(entry);
+    } else if (kind != kKindComplete || !payload->done()) {
+      break;
+    } else {
+      parsed.complete = true;
+    }
+    pos += 4 + payload_bytes + 4u;
     parsed.valid_end = pos;
   }
   return parsed;
@@ -252,22 +137,9 @@ const char* scenario_status_name(ScenarioStatus status) {
 }
 
 pipeline::Fingerprint study_fingerprint(std::string_view study_id) {
-  // Two-lane FNV-1a with the same constants as pipeline/context.cpp's
-  // Hasher, over the identity string's length and bytes.
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
-  constexpr std::uint64_t kPrime2 = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t lo = 0xcbf29ce484222325ULL;
-  std::uint64_t hi = 0x84222325cbf29ce4ULL;
-  const auto feed = [&](unsigned char b) {
-    lo = (lo ^ b) * kPrime;
-    hi = (hi ^ b) * kPrime2;
-  };
-  std::uint64_t size = study_id.size();
-  for (int i = 0; i < 8; ++i) {
-    feed(static_cast<unsigned char>(size >> (8 * i)));
-  }
-  for (const char c : study_id) feed(static_cast<unsigned char>(c));
-  return {lo, hi};
+  pipeline::Hasher h;
+  h.str(study_id);
+  return h.value();
 }
 
 std::string StudyJournal::path_for(const std::string& root,
@@ -316,9 +188,9 @@ StudyJournal::~StudyJournal() {
 
 void StudyJournal::write_record(const std::string& payload) {
   std::string record;
-  put_u32(record, static_cast<std::uint32_t>(payload.size()));
+  codec::put_u32(record, static_cast<std::uint32_t>(payload.size()));
   record += payload;
-  put_u32(record, crc_of(payload));
+  codec::seal_record(record, 4);
 
   std::lock_guard<std::mutex> lock(mutex_);
   maybe_crash("journal.append");
@@ -341,7 +213,7 @@ void StudyJournal::append(const JournalEntry& entry) {
 
 void StudyJournal::append_complete() {
   std::string payload;
-  put_u8(payload, kKindComplete);
+  codec::put_u8(payload, kKindComplete);
   write_record(payload);
 }
 

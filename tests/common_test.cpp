@@ -1,9 +1,11 @@
 // Unit tests for the common utilities: strings, units, rng, stats, tables,
-// CSV, flags, logging.
+// CSV, flags, logging, the binary codec.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <set>
+#include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <cerrno>
@@ -13,6 +15,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/codec.hpp"
 #include "common/csv.hpp"
 #include "common/expect.hpp"
 #include "common/flags.hpp"
@@ -539,6 +542,109 @@ TEST(Signals, IgnoreSigpipeSurvivesClosedPipeWrite) {
 }
 
 #endif
+
+// --- binary codec ----------------------------------------------------------
+
+TEST(Codec, StringLengthIsCheckedBeforeAllocation) {
+  // A string header declaring 4 GiB backed by 3 bytes must fail cleanly
+  // (and, per the Reader contract, without allocating the declared size).
+  std::string bytes;
+  codec::put_u32(bytes, 0xffffffffu);
+  bytes += "abc";
+  codec::Reader reader(bytes);
+  const std::string s = reader.get_string();
+  EXPECT_TRUE(s.empty());
+  EXPECT_FALSE(reader.ok());
+}
+
+TEST(Codec, DoneRequiresFullConsumption) {
+  std::string bytes;
+  codec::put_u32(bytes, 7);
+  codec::put_u8(bytes, 1);
+  codec::Reader reader(bytes);
+  EXPECT_EQ(reader.get_u32(), 7u);
+  EXPECT_FALSE(reader.done());  // one byte left
+  EXPECT_EQ(reader.get_u8(), 1u);
+  EXPECT_TRUE(reader.done());
+}
+
+TEST(Codec, FirstUnderrunLatches) {
+  std::string bytes;
+  codec::put_u64(bytes, 42);
+  codec::Reader reader(bytes);
+  EXPECT_EQ(reader.get_u32(), 42u);
+  EXPECT_EQ(reader.get_u64(), 0u);  // 4 bytes left: underrun
+  EXPECT_FALSE(reader.ok());
+  EXPECT_EQ(reader.get_u8(), 0u);  // latched, though a byte is left
+  EXPECT_FALSE(reader.done());
+}
+
+TEST(Codec, String64HonoursItsCap) {
+  std::string bytes;
+  codec::put_string64(bytes, "hello");
+  EXPECT_EQ(codec::Reader(bytes).get_string64(5), "hello");
+  codec::Reader capped(bytes);
+  EXPECT_EQ(capped.get_string64(4), "");
+  EXPECT_FALSE(capped.ok());
+}
+
+TEST(Codec, EnvelopeRejectsDamageSkewAndForeignMagic) {
+  std::string sealed = codec::begin_envelope("TESTMAG1", 3);
+  codec::put_u64(sealed, 99);
+  codec::seal_envelope(sealed, "TESTMAG1");
+  ASSERT_EQ(sealed.size(), 8u + 4 + 8 + 4);
+
+  std::optional<codec::Reader> body =
+      codec::open_envelope(sealed, "TESTMAG1", 3);
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(body->get_u64(), 99u);
+  EXPECT_TRUE(body->done());
+
+  EXPECT_FALSE(codec::open_envelope(sealed, "TESTMAG1", 4).has_value());
+  EXPECT_FALSE(codec::open_envelope(sealed, "OTHERMG1", 3).has_value());
+  for (std::size_t i = 0; i < sealed.size(); ++i) {
+    std::string damaged = sealed;
+    damaged[i] = static_cast<char>(damaged[i] ^ 0x01);
+    EXPECT_FALSE(codec::open_envelope(damaged, "TESTMAG1", 3).has_value())
+        << "flipped byte " << i;
+  }
+  for (std::size_t n = 0; n < sealed.size(); ++n) {
+    EXPECT_FALSE(codec::open_envelope(sealed.substr(0, n), "TESTMAG1", 3)
+                     .has_value())
+        << n;
+  }
+
+  // The header alone is what a peek checks: no CRC, any tail.
+  const std::string first_bytes = sealed.substr(0, 20);
+  std::optional<codec::Reader> head =
+      codec::peek_envelope(first_bytes, "TESTMAG1", 3);
+  ASSERT_TRUE(head.has_value());
+  EXPECT_EQ(head->get_u64(), 99u);
+  EXPECT_FALSE(codec::peek_envelope(sealed, "TESTMAG1", 2).has_value());
+  EXPECT_FALSE(codec::peek_envelope("TESTMAG1", "TESTMAG1", 3).has_value());
+}
+
+TEST(Codec, RecordCrcCoversTheBodyFromItsStart) {
+  std::string out = "prefix";
+  codec::put_u32(out, 0xabcdef01u);
+  codec::seal_record(out, 6);
+  std::optional<codec::Reader> body =
+      codec::open_record(std::string_view(out).substr(6));
+  ASSERT_TRUE(body.has_value());
+  EXPECT_EQ(body->get_u32(), 0xabcdef01u);
+  EXPECT_TRUE(body->done());
+  out[7] = static_cast<char>(out[7] ^ 0x10);
+  EXPECT_FALSE(codec::open_record(std::string_view(out).substr(6)).has_value());
+  EXPECT_FALSE(codec::open_record("abc").has_value());
+}
+
+TEST(Codec, FrameWriterRefusesPayloadsOverTheCap) {
+  std::string out;
+  EXPECT_TRUE(codec::put_frame(out, "abcd", 4));
+  EXPECT_EQ(out, std::string("\x04\x00\x00\x00" "abcd", 8));
+  EXPECT_FALSE(codec::put_frame(out, "abcde", 4));
+  EXPECT_EQ(out.size(), 8u);  // nothing appended
+}
 
 }  // namespace
 }  // namespace osim

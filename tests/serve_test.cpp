@@ -1,4 +1,4 @@
-// Tests for the analysis service (src/serve): wire/protocol strictness
+// Tests for the analysis service (src/serve): protocol strictness
 // (including the framing fuzzer the protocol header promises), the
 // controller/worker life cycle, and the service-level acceptance
 // properties — concurrent clients deduped onto one replay with
@@ -18,12 +18,12 @@
 #include <thread>
 #include <vector>
 
+#include "common/codec.hpp"
 #include "common/exit_codes.hpp"
 #include "serve/client.hpp"
 #include "serve/controller.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
-#include "serve/wire.hpp"
 #include "trace/binary_io.hpp"
 #include "trace/trace.hpp"
 
@@ -88,31 +88,6 @@ std::vector<ServerMessage> server_corpus() {
       ServerMessage(OkReply{}),
       ServerMessage(ErrorReply{RpcErrorCode::kBusy, "queue full"}),
   };
-}
-
-// --- wire primitives --------------------------------------------------------
-
-TEST(Wire, StringLengthIsCheckedBeforeAllocation) {
-  // A string header declaring 4 GiB backed by 3 bytes must fail cleanly
-  // (and, per the Reader contract, without allocating the declared size).
-  std::string bytes;
-  wire::put_u32(bytes, 0xffffffffu);
-  bytes += "abc";
-  wire::Reader reader(bytes);
-  const std::string s = reader.get_string();
-  EXPECT_TRUE(s.empty());
-  EXPECT_FALSE(reader.ok());
-}
-
-TEST(Wire, DoneRequiresFullConsumption) {
-  std::string bytes;
-  wire::put_u32(bytes, 7);
-  wire::put_u8(bytes, 1);
-  wire::Reader reader(bytes);
-  EXPECT_EQ(reader.get_u32(), 7u);
-  EXPECT_FALSE(reader.done());  // one byte left
-  EXPECT_EQ(reader.get_u8(), 1u);
-  EXPECT_TRUE(reader.done());
 }
 
 // --- protocol round trips ---------------------------------------------------
@@ -253,7 +228,7 @@ TEST(Fuzz, OversizedLengthPoisonsWithoutAllocation) {
   for (const std::uint32_t declared :
        {kMaxFrameBytes + 1, 0x7fffffffu, 0xffffffffu}) {
     std::string header;
-    wire::put_u32(header, declared);
+    codec::put_u32(header, declared);
     FrameReader reader;
     reader.feed(header);
     EXPECT_FALSE(reader.next().has_value());
@@ -312,6 +287,25 @@ std::string write_ring_trace(const std::string& dir, std::int32_t ranks,
     }
   }
   const std::string path = dir + "/ring.trace";
+  trace::write_binary_file(std::move(b).build(), path);
+  return path;
+}
+
+// Two ranks trading eager messages, each wait straight after its post:
+// every immediate operation draws a zero-window lint diagnostic, so the
+// run report outgrows the RPC frame cap while the replay stays small.
+std::string write_zero_window_trace(const std::string& dir, int rounds) {
+  trace::TraceBuilder b(2, 1000.0);
+  for (trace::Rank r = 0; r < 2; ++r) {
+    const trace::Rank peer = 1 - r;
+    for (int i = 0; i < rounds; ++i) {
+      b.isend(r, peer, i, 64, 2 * i + 1);
+      b.wait(r, {2 * i + 1});
+      b.irecv(r, peer, i, 64, 2 * i + 2);
+      b.wait(r, {2 * i + 2});
+    }
+  }
+  const std::string path = dir + "/zero_window.trace";
   trace::write_binary_file(std::move(b).build(), path);
   return path;
 }
@@ -668,6 +662,45 @@ TEST(Service, WorkerSigkillIsRetriedOnAFreshWorker) {
   const std::string stats = fetch_stats(connection);
   EXPECT_NE(stats.find("\"deaths\":1"), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"replays_completed\":2"), std::string::npos) << stats;
+  EXPECT_EQ(service.shutdown(), kExitOk);
+}
+
+TEST(Service, OversizeReportFailsTheJobWithoutWorkerDeaths) {
+  const std::string dir = fresh_dir("oversize");
+  const std::string trace_path = write_zero_window_trace(dir, 25'000);
+
+  // Forked workers, as in production: a result frame over the cap used to
+  // poison the controller's reader, which took the worker for dead and
+  // replayed the scenario twice more before failing it as a crash.
+  ControllerOptions options;
+  options.socket_path = dir + "/osim.sock";
+  options.workers = 1;
+  options.fork_workers = true;
+  options.serve_binary = OSIM_SERVE_BIN;
+  TestService service(options);
+  ClientConnection connection = service.connect();
+
+  const ServerMessage reply = connection.call(
+      ClientMessage(SubmitScenario{sample_spec(trace_path, 250.0)}));
+  const auto* submitted = std::get_if<Submitted>(&reply);
+  ASSERT_NE(submitted, nullptr);
+  ASSERT_EQ(submitted->tickets.size(), 1u);
+  const ServerMessage status = connection.call(
+      ClientMessage(PollStatus{submitted->tickets[0].ticket, true}));
+  const auto* terminal = std::get_if<StatusReply>(&status);
+  ASSERT_NE(terminal, nullptr);
+  EXPECT_EQ(terminal->state, JobState::kFailed);
+  EXPECT_EQ(terminal->attempts, 0u);
+  EXPECT_NE(terminal->error.find("bytes exceeds the 16777216-byte RPC frame "
+                                 "cap"),
+            std::string::npos)
+      << terminal->error;
+
+  // One replay on the first worker: no death, no respawn.
+  const std::string stats = fetch_stats(connection);
+  EXPECT_NE(stats.find("\"deaths\":0"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"spawned\":1"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("\"jobs_failed\":1"), std::string::npos) << stats;
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
 
