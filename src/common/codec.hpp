@@ -150,7 +150,7 @@ class Reader {
   /// Inverse of put_string64; a length above `max_bytes` latches failure.
   std::string get_string64(std::uint64_t max_bytes) {
     const std::uint64_t n = get_u64();
-    if (n > max_bytes || n > remaining()) {
+    if (n > max_bytes) {
       ok_ = false;
       return std::string();
     }

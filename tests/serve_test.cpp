@@ -704,6 +704,30 @@ TEST(Service, OversizeReportFailsTheJobWithoutWorkerDeaths) {
   EXPECT_EQ(service.shutdown(), kExitOk);
 }
 
+TEST(Service, OversizeStoredReportIsAnErrorReply) {
+  // A report object over the frame cap in a shared store (written by
+  // another controller, say) must come back as an Error reply; a frame
+  // over the cap would make the client drop the connection as poisoned.
+  const std::string dir = fresh_dir("oversize_store");
+  const pipeline::Fingerprint ticket = fp(21, 22);
+  store::ScenarioStore(dir + "/cache")
+      .save_report(ticket, std::string(kMaxFrameBytes, 'x'));
+
+  ControllerOptions options = thread_mode_options(dir);
+  options.cache_dir = dir + "/cache";
+  TestService service(options);
+  ClientConnection connection = service.connect();
+  const ServerMessage reply =
+      connection.call(ClientMessage(FetchReport{ticket}));
+  const auto* error = std::get_if<ErrorReply>(&reply);
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->code, RpcErrorCode::kFailed);
+  EXPECT_NE(error->message.find("exceeds the 16777216-byte RPC frame cap"),
+            std::string::npos)
+      << error->message;
+  EXPECT_EQ(service.shutdown(), kExitOk);
+}
+
 TEST(Service, OutOfRangeValuesAreBadRequestsWithoutWorkerDeaths) {
   const std::string dir = fresh_dir("ranges");
   const std::string trace_path = write_ring_trace(dir, 2, 1);
