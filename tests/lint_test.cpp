@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "apps/app.hpp"
+#include "common/crc32.hpp"
 #include "lint/lint.hpp"
 #include "overlap/pairing.hpp"
 #include "overlap/transform.hpp"
@@ -20,6 +23,7 @@ using lint::Diagnostic;
 using lint::kNoRecord;
 using lint::Report;
 using lint::Severity;
+using trace::kAnyRank;
 using trace::Trace;
 using trace::TraceBuilder;
 
@@ -249,6 +253,177 @@ TEST(LintDeadlock, PrePostedIrecvBreaksTheCycle) {
     b.wait(r, {r});
   }
   EXPECT_TRUE(lint::lint_trace(std::move(b).build()).clean());
+}
+
+/// Every deadlock-pass diagnostic as "rank|record|message", in report order.
+std::vector<std::string> deadlock_findings(const Report& report) {
+  std::vector<std::string> out;
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.pass != "deadlock") continue;
+    EXPECT_EQ(d.severity, Severity::kError);
+    EXPECT_TRUE(d.code.empty()) << d.code;
+    EXPECT_TRUE(d.evidence.empty()) << d.evidence;
+    out.push_back(std::to_string(d.rank) + "|" + std::to_string(d.record) +
+                  "|" + d.message);
+  }
+  return out;
+}
+
+TEST(LintDeadlockPin, BlockingRecvCycle) {
+  // Both ranks receive before they send: each blocking recv waits on a
+  // send the peer only issues after its own recv completes.
+  TraceBuilder b(2, 1000.0);
+  b.recv(0, 1, 3, 64).send(0, 1, 3, 64);
+  b.recv(1, 0, 3, 64).send(1, 0, 3, 64);
+  const std::vector<std::string> expected = {
+      "-1|-1|deadlock cycle among ranks 0, 1: rank 0 blocked at record 0 "
+      "[recv(src=1, tag=3, bytes=64)] needs a matching send from rank 1 "
+      "(waits on rank 1); rank 1 blocked at record 0 [recv(src=0, tag=3, "
+      "bytes=64)] needs a matching send from rank 0 (waits on rank 0)"};
+  EXPECT_EQ(deadlock_findings(lint::lint_trace(std::move(b).build())),
+            expected);
+}
+
+TEST(LintDeadlockPin, WaitOnRendezvousIsendCycle) {
+  // Every rank waits its rendezvous isend before posting the receive that
+  // would match its neighbour's: the wait blames the isend's destination.
+  constexpr std::uint64_t kBytes = 100'000;
+  TraceBuilder b(3, 1000.0);
+  for (trace::Rank r = 0; r < 3; ++r) {
+    b.isend(r, (r + 1) % 3, 4, kBytes, /*request=*/1);
+    b.compute(r, 100);
+    b.wait(r, {1});
+    b.recv(r, (r + 2) % 3, 4, kBytes);
+  }
+  const std::vector<std::string> expected = {
+      "-1|-1|deadlock cycle among ranks 0, 1, 2: rank 0 blocked at record 2 "
+      "[wait(1)] needs 1 incomplete request(s) (waits on rank 1); rank 1 "
+      "blocked at record 2 [wait(1)] needs 1 incomplete request(s) (waits "
+      "on rank 2); rank 2 blocked at record 2 [wait(1)] needs 1 incomplete "
+      "request(s) (waits on rank 0)"};
+  EXPECT_EQ(deadlock_findings(lint::lint_trace(std::move(b).build())),
+            expected);
+}
+
+TEST(LintDeadlockPin, AnySourceRecvStarves) {
+  // Rank 0's wildcard recv blames every rank still running: rank 1, itself
+  // starved on rank 2, which finishes. Nothing is ever sent to rank 0, and
+  // the blame has no cycle, so both ranks starve.
+  TraceBuilder b(3, 1000.0);
+  b.compute(0, 100).recv(0, kAnyRank, 9, 64);
+  b.recv(1, 2, 6, 64);
+  b.compute(2, 100);
+  const std::vector<std::string> expected = {
+      "0|1|rank starves: blocked at [recv(src=-1, tag=9, bytes=64)] needing "
+      "a matching send from ANY_SOURCE that no rank ever provides",
+      "1|0|rank starves: blocked at [recv(src=2, tag=6, bytes=64)] needing "
+      "a matching send from rank 2 that no rank ever provides"};
+  EXPECT_EQ(deadlock_findings(lint::lint_trace(std::move(b).build())),
+            expected);
+}
+
+TEST(LintDeadlockPin, WaitOnAnySourceIrecvBlamesRunningRanks) {
+  // Rank 0 waits a wildcard irecv and rank 1 blocks in a wildcard recv:
+  // each blames the other, the only rank still running, which closes a
+  // cycle. Rank 2 finishes without sending.
+  TraceBuilder b(3, 1000.0);
+  b.irecv(0, kAnyRank, 8, 64, /*request=*/2).compute(0, 100).wait(0, {2});
+  b.recv(1, kAnyRank, 8, 64);
+  b.compute(2, 100);
+  const std::vector<std::string> expected = {
+      "-1|-1|deadlock cycle among ranks 0, 1: rank 0 blocked at record 2 "
+      "[wait(2)] needs 1 incomplete request(s) (waits on rank 1); rank 1 "
+      "blocked at record 0 [recv(src=-1, tag=8, bytes=64)] needs a matching "
+      "send from ANY_SOURCE (waits on rank 0)"};
+  EXPECT_EQ(deadlock_findings(lint::lint_trace(std::move(b).build())),
+            expected);
+}
+
+TEST(LintDeadlockPin, CyclePlusStarvingRankOffTheCycle) {
+  // Ranks 0 and 1 form a recv cycle; rank 2 waits on rank 0, which is stuck
+  // in that cycle, so rank 2 starves without being part of it.
+  TraceBuilder b(3, 1000.0);
+  b.recv(0, 1, 3, 64).send(0, 1, 3, 64).send(0, 2, 3, 64);
+  b.recv(1, 0, 3, 64).send(1, 0, 3, 64);
+  b.compute(2, 100).recv(2, 0, 3, 64);
+  const std::vector<std::string> expected = {
+      "-1|-1|deadlock cycle among ranks 0, 1: rank 0 blocked at record 0 "
+      "[recv(src=1, tag=3, bytes=64)] needs a matching send from rank 1 "
+      "(waits on rank 1); rank 1 blocked at record 0 [recv(src=0, tag=3, "
+      "bytes=64)] needs a matching send from rank 0 (waits on rank 0)",
+      "2|1|rank starves: blocked at [recv(src=0, tag=3, bytes=64)] needing "
+      "a matching send from rank 0 that no rank ever provides"};
+  EXPECT_EQ(deadlock_findings(lint::lint_trace(std::move(b).build())),
+            expected);
+}
+
+TEST(LintDeadlockPin, CollectiveWaitCycle) {
+  // Rank 1 waits at a second collective that rank 0 never joins, because
+  // rank 0 blocks first on a recv that rank 1 only sends afterwards.
+  TraceBuilder b(2, 1000.0);
+  b.global(0, trace::CollectiveKind::kBarrier, 0, 0, 0).recv(0, 1, 2, 64);
+  b.global(1, trace::CollectiveKind::kBarrier, 0, 0, 0);
+  b.global(1, trace::CollectiveKind::kBarrier, 0, 0, 1).send(1, 0, 2, 64);
+  const std::vector<std::string> expected = {
+      "-1|-1|deadlock cycle among ranks 0, 1: rank 0 blocked at record 1 "
+      "[recv(src=1, tag=2, bytes=64)] needs a matching send from rank 1 "
+      "(waits on rank 1); rank 1 blocked at record 1 [barrier(root=0, "
+      "bytes=0, seq=1)] needs collective #1 arrival (waits on rank 0)"};
+  EXPECT_EQ(deadlock_findings(lint::lint_trace(std::move(b).build())),
+            expected);
+}
+
+// --- report goldens on the bundled applications -----------------------------
+
+/// "<length>:<crc32 hex>" of `bytes`.
+std::string digest(const std::string& bytes) {
+  Crc32 crc;
+  crc.update(bytes.data(), bytes.size());
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%zu:%08x", bytes.size(), crc.value());
+  return buf;
+}
+
+/// The JSON lint report of each app's original, real and ideal traces at 16
+/// ranks, pinned by length and CRC-32. A failure here means some pass
+/// changed what it reports on a real trace: diagnostics, order or text.
+TEST(LintGolden, AppReportsArePinned) {
+  struct Pin {
+    const char* app;
+    const char* original;
+    const char* real;
+    const char* ideal;
+  };
+  const Pin pins[] = {
+      {"nas_cg", "12596:50eac463", "27571:1bbbce1c", "40166:bf42eeea"},
+      {"sweep3d", "105:d0ce7768", "44372:6d947b22", "100033:48807d47"},
+      {"pop", "25446:324bca89", "59875:770bf584", "80145:968b71ba"},
+  };
+  apps::AppConfig config;
+  config.ranks = 16;
+  config.iterations = 2;
+  overlap::OverlapOptions real_options;
+  overlap::OverlapOptions ideal_options;
+  ideal_options.pattern = overlap::PatternMode::kIdeal;
+  for (const Pin& pin : pins) {
+    const apps::MiniApp* app = apps::find_app(pin.app);
+    ASSERT_NE(app, nullptr) << pin.app;
+    const tracer::TracedRun traced = apps::trace_app(*app, config);
+    EXPECT_EQ(digest(lint::lint_trace(overlap::lower_original(traced.annotated))
+                         .render_json()),
+              pin.original)
+        << pin.app << " original";
+    EXPECT_EQ(digest(lint::lint_trace(
+                         overlap::transform(traced.annotated, real_options))
+                         .render_json()),
+              pin.real)
+        << pin.app << " real";
+    EXPECT_EQ(digest(lint::lint_trace(
+                         overlap::transform(traced.annotated, ideal_options))
+                         .render_json()),
+              pin.ideal)
+        << pin.app << " ideal";
+  }
 }
 
 // --- collectives pass -------------------------------------------------------
