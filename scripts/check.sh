@@ -7,8 +7,9 @@
 #      src/serve/ may lower scenario flags by hand — every Platform /
 #      ReplayOptions built from flags comes from pipeline::ScenarioSpec —
 #      only ScenarioStore::fold() may run the store's full index
-#      reconcile, and no little-endian loop, CRC-over-a-string helper or
-#      FNV-1a hasher may be hand-written outside the one codec;
+#      reconcile, no little-endian loop, CRC-over-a-string helper or
+#      FNV-1a hasher may be hand-written outside the one codec, and no
+#      src/lint file but hb.cpp may run a fixed-point MPI interpreter;
 #   2. full build under AddressSanitizer + UndefinedBehaviorSanitizer (or
 #      ThreadSanitizer with 'thread', or standalone UBSan with 'undefined'
 #      as the second argument) and the full test suite;
@@ -106,6 +107,24 @@ if grep -rnE --include='*.cpp' --include='*.hpp' \
   exit 1
 fi
 echo "codec OK (one codec in src/common/codec.hpp, one hasher)"
+
+# One abstract machine in the linter: src/lint/hb.cpp runs the round-robin
+# fixed point and the deadlock, race and overlap passes read its
+# HbAnalysis. A second fixed-point loop (a run_to_fixpoint, or a
+# 'while (progress)' loop driving advance()) in any other src/lint file is
+# a second interpreter of the MPI semantics, free to drift from the first.
+if for f in "$ROOT"/src/lint/*; do
+     [ "$f" = "$ROOT/src/lint/hb.cpp" ] && continue
+     awk '/while \(progress\)/ { loop = FNR }
+          /run_to_fixpoint/ || (/advance\(/ && loop && FNR - loop <= 10) {
+            print FILENAME ":" FNR ": " $0
+          }' "$f"
+   done | grep .; then
+  echo "error: a fixed-point interpreter in src/lint outside hb.cpp;" \
+       "derive the pass from HbAnalysis (lint/hb.hpp) instead" >&2
+  exit 1
+fi
+echo "lint OK (one abstract machine, in src/lint/hb.cpp)"
 
 cmake -B "$BUILD" -S "$ROOT" -DOSIM_SANITIZE="$SANITIZE" \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo

@@ -1,333 +1,40 @@
 #include "lint/deadlock.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <set>
-#include <variant>
 #include <vector>
 
-#include "common/expect.hpp"
 #include "common/strings.hpp"
-#include "dimemas/matching.hpp"
 
 namespace osim::lint {
 
 namespace {
 
-using dimemas::RecvEnvelope;
-using dimemas::SendEnvelope;
-using dimemas::envelope_matches;
-using trace::CpuBurst;
-using trace::GlobalOp;
-using trace::kAnyRank;
 using trace::Rank;
-using trace::Record;
-using trace::Recv;
-using trace::ReqId;
-using trace::Send;
-using trace::Wait;
 
 constexpr const char* kPass = "deadlock";
 
-struct PendingSend {
-  SendEnvelope env;
-  bool rendezvous = false;
-  bool matched = false;
-};
+}  // namespace
 
-struct PendingRecv {
-  RecvEnvelope env;
-  bool matched = false;
-};
+void check_deadlock(const trace::Trace& trace, const HbAnalysis& hb,
+                    Report& report) {
+  if (hb.stuck.empty()) return;
+  const auto blocked_text = [&](const HbStuckRank& s) {
+    return trace::to_string(
+        trace.ranks[static_cast<std::size_t>(s.rank)][s.record]);
+  };
 
-/// What an immediate request resolves to in the untimed model.
-struct ReqEntry {
-  const PendingSend* send = nullptr;  // isend: complete when eager or matched
-  const PendingRecv* recv = nullptr;  // irecv: complete when matched
-  bool complete() const {
-    if (send != nullptr) return !send->rendezvous || send->matched;
-    if (recv != nullptr) return recv->matched;
-    return true;
-  }
-};
-
-enum class BlockKind { kNone, kSend, kRecv, kWait, kCollective };
-
-struct RankMachine {
-  std::size_t pc = 0;
-  bool finished = false;
-  BlockKind block = BlockKind::kNone;
-  std::size_t block_record = 0;
-  const PendingSend* blocked_send = nullptr;
-  const PendingRecv* blocked_recv = nullptr;
-  std::vector<ReqId> wait_pending;      // kWait: not-yet-complete requests
-  std::int64_t coll_ordinal = 0;        // kCollective: my arrival ordinal
-  std::int64_t colls_arrived = 0;       // collectives this rank reached
-  std::map<ReqId, ReqEntry> requests;
-};
-
-class AbstractMachine {
- public:
-  AbstractMachine(const trace::Trace& trace, std::uint64_t eager_threshold)
-      : trace_(trace), eager_threshold_(eager_threshold) {
-    machines_.resize(trace.ranks.size());
-    unmatched_sends_.resize(trace.ranks.size());
-    unmatched_recvs_.resize(trace.ranks.size());
-  }
-
-  void run_to_fixpoint() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (Rank r = 0; r < trace_.num_ranks; ++r) {
-        if (advance(r)) progress = true;
-      }
-    }
-  }
-
-  void report_stuck(Report& report) const;
-
- private:
-  RankMachine& machine(Rank r) {
-    return machines_[static_cast<std::size_t>(r)];
-  }
-  const std::vector<Record>& stream(Rank r) const {
-    return trace_.ranks[static_cast<std::size_t>(r)];
-  }
-
-  bool in_range(Rank r) const { return r >= 0 && r < trace_.num_ranks; }
-
-  bool block_resolved(const RankMachine& m) const {
-    switch (m.block) {
-      case BlockKind::kNone:
-        return true;
-      case BlockKind::kSend:
-        return m.blocked_send->matched;
-      case BlockKind::kRecv:
-        return m.blocked_recv->matched;
-      case BlockKind::kWait:
-        return std::all_of(m.wait_pending.begin(), m.wait_pending.end(),
-                           [&](ReqId req) {
-                             const auto it = m.requests.find(req);
-                             return it == m.requests.end() ||
-                                    it->second.complete();
-                           });
-      case BlockKind::kCollective:
-        return std::all_of(machines_.begin(), machines_.end(),
-                           [&](const RankMachine& other) {
-                             return other.colls_arrived > m.coll_ordinal;
-                           });
-    }
-    OSIM_UNREACHABLE("bad block kind");
-  }
-
-  /// Executes as many records of rank `r` as possible; true on progress.
-  bool advance(Rank r) {
-    RankMachine& m = machine(r);
-    bool progressed = false;
-    while (!m.finished) {
-      if (m.block != BlockKind::kNone) {
-        if (!block_resolved(m)) return progressed;
-        m.block = BlockKind::kNone;
-        progressed = true;
-      }
-      const auto& recs = stream(r);
-      if (m.pc >= recs.size()) {
-        m.finished = true;
-        progressed = true;
-        break;
-      }
-      const std::size_t i = m.pc++;
-      progressed = true;
-      execute(r, m, i, recs[i]);
-    }
-    return progressed;
-  }
-
-  void execute(Rank r, RankMachine& m, std::size_t i, const Record& rec) {
-    if (const auto* send = std::get_if<Send>(&rec)) {
-      if (!in_range(send->dest) || send->dest == r) return;  // match pass
-      sends_pool_.push_back(PendingSend{
-          SendEnvelope{r, send->dest, send->tag, send->bytes},
-          send->synchronous || send->bytes > eager_threshold_, false});
-      PendingSend* ps = &sends_pool_.back();
-      match_send(ps);
-      if (send->immediate) {
-        if (send->request != trace::kNoRequest) {
-          m.requests[send->request] = ReqEntry{ps, nullptr};
-        }
-        return;
-      }
-      if (ps->rendezvous && !ps->matched) {
-        m.block = BlockKind::kSend;
-        m.block_record = i;
-        m.blocked_send = ps;
-      }
-    } else if (const auto* recv = std::get_if<Recv>(&rec)) {
-      if ((recv->src != kAnyRank && !in_range(recv->src)) ||
-          recv->src == r) {
-        return;  // reported by the match pass
-      }
-      recvs_pool_.push_back(PendingRecv{
-          RecvEnvelope{recv->src, r, recv->tag, recv->bytes}, false});
-      PendingRecv* pr = &recvs_pool_.back();
-      match_recv(pr);
-      if (recv->immediate) {
-        if (recv->request != trace::kNoRequest) {
-          m.requests[recv->request] = ReqEntry{nullptr, pr};
-        }
-        return;
-      }
-      if (!pr->matched) {
-        m.block = BlockKind::kRecv;
-        m.block_record = i;
-        m.blocked_recv = pr;
-      }
-    } else if (const auto* wait = std::get_if<Wait>(&rec)) {
-      std::vector<ReqId> pending;
-      for (const ReqId req : wait->requests) {
-        const auto it = m.requests.find(req);
-        // Unknown requests are the requests pass's finding; treat them as
-        // complete so one defect does not cascade into phantom deadlocks.
-        if (it != m.requests.end() && !it->second.complete()) {
-          pending.push_back(req);
-        }
-      }
-      if (!pending.empty()) {
-        m.block = BlockKind::kWait;
-        m.block_record = i;
-        m.wait_pending = std::move(pending);
-      }
-    } else if (std::get_if<GlobalOp>(&rec) != nullptr) {
-      m.coll_ordinal = m.colls_arrived++;
-      m.block = BlockKind::kCollective;
-      m.block_record = i;
-    }
-    // CpuBurst: no dependency.
-  }
-
-  void match_send(PendingSend* send) {
-    auto& recvs = unmatched_recvs_[static_cast<std::size_t>(send->env.dst)];
-    for (auto it = recvs.begin(); it != recvs.end(); ++it) {
-      if (envelope_matches((*it)->env, send->env)) {
-        (*it)->matched = true;
-        send->matched = true;
-        recvs.erase(it);
-        return;
-      }
-    }
-    unmatched_sends_[static_cast<std::size_t>(send->env.dst)].push_back(send);
-  }
-
-  void match_recv(PendingRecv* recv) {
-    auto& sends = unmatched_sends_[static_cast<std::size_t>(recv->env.dst)];
-    for (auto it = sends.begin(); it != sends.end(); ++it) {
-      if (envelope_matches(recv->env, (*it)->env)) {
-        (*it)->matched = true;
-        recv->matched = true;
-        sends.erase(it);
-        return;
-      }
-    }
-    unmatched_recvs_[static_cast<std::size_t>(recv->env.dst)].push_back(recv);
-  }
-
-  /// Ranks this stuck rank is waiting on (blame edges), and a short
-  /// description of what it needs from them.
-  std::vector<Rank> blame_targets(Rank r, const RankMachine& m,
-                                  std::string* what) const;
-
-  const trace::Trace& trace_;
-  const std::uint64_t eager_threshold_;
-  std::vector<RankMachine> machines_;
-  // Stable-address pools; inbox deques point into them.
-  std::deque<PendingSend> sends_pool_;
-  std::deque<PendingRecv> recvs_pool_;
-  std::vector<std::deque<PendingSend*>> unmatched_sends_;
-  std::vector<std::deque<PendingRecv*>> unmatched_recvs_;
-};
-
-std::vector<Rank> AbstractMachine::blame_targets(Rank r, const RankMachine& m,
-                                                 std::string* what) const {
-  std::set<Rank> targets;
-  switch (m.block) {
-    case BlockKind::kSend:
-      targets.insert(m.blocked_send->env.dst);
-      *what = strprintf("a matching recv on rank %d",
-                        m.blocked_send->env.dst);
-      break;
-    case BlockKind::kRecv:
-      if (m.blocked_recv->env.src != kAnyRank) {
-        targets.insert(m.blocked_recv->env.src);
-        *what = strprintf("a matching send from rank %d",
-                          m.blocked_recv->env.src);
-      } else {
-        for (Rank o = 0; o < trace_.num_ranks; ++o) {
-          if (o != r && !machines_[static_cast<std::size_t>(o)].finished) {
-            targets.insert(o);
-          }
-        }
-        *what = "a matching send from ANY_SOURCE";
-      }
-      break;
-    case BlockKind::kWait:
-      for (const ReqId req : m.wait_pending) {
-        const auto it = m.requests.find(req);
-        if (it == m.requests.end() || it->second.complete()) continue;
-        if (it->second.send != nullptr) {
-          targets.insert(it->second.send->env.dst);
-        } else if (it->second.recv != nullptr) {
-          if (it->second.recv->env.src != kAnyRank) {
-            targets.insert(it->second.recv->env.src);
-          } else {
-            for (Rank o = 0; o < trace_.num_ranks; ++o) {
-              if (o != r &&
-                  !machines_[static_cast<std::size_t>(o)].finished) {
-                targets.insert(o);
-              }
-            }
-          }
-        }
-      }
-      *what = strprintf("%zu incomplete request(s)", m.wait_pending.size());
-      break;
-    case BlockKind::kCollective:
-      for (Rank o = 0; o < trace_.num_ranks; ++o) {
-        if (o != r && machines_[static_cast<std::size_t>(o)].colls_arrived <=
-                          m.coll_ordinal) {
-          targets.insert(o);
-        }
-      }
-      *what = strprintf("collective #%lld arrival",
-                        static_cast<long long>(m.coll_ordinal));
-      break;
-    case BlockKind::kNone:
-      break;
-  }
-  return std::vector<Rank>(targets.begin(), targets.end());
-}
-
-void AbstractMachine::report_stuck(Report& report) const {
-  std::vector<Rank> stuck;
-  for (Rank r = 0; r < trace_.num_ranks; ++r) {
-    if (!machines_[static_cast<std::size_t>(r)].finished) stuck.push_back(r);
-  }
-  if (stuck.empty()) return;
+  std::map<Rank, const HbStuckRank*> state;
+  for (const HbStuckRank& s : hb.stuck) state[s.rank] = &s;
 
   // Blame edges restricted to stuck ranks (a finished rank cannot be part
-  // of a cycle), plus per-rank description for the chain text.
+  // of a cycle).
   std::map<Rank, std::vector<Rank>> edges;
-  std::map<Rank, std::string> needs;
-  const std::set<Rank> stuck_set(stuck.begin(), stuck.end());
-  for (const Rank r : stuck) {
-    const RankMachine& m = machines_[static_cast<std::size_t>(r)];
-    std::string what;
-    std::vector<Rank> targets = blame_targets(r, m, &what);
-    needs[r] = what;
-    std::vector<Rank>& out = edges[r];
-    for (const Rank t : targets) {
-      if (stuck_set.count(t) > 0) out.push_back(t);
+  for (const HbStuckRank& s : hb.stuck) {
+    std::vector<Rank>& out = edges[s.rank];
+    for (const Rank t : s.waits_on) {
+      if (state.count(t) > 0) out.push_back(t);
     }
   }
 
@@ -340,7 +47,8 @@ void AbstractMachine::report_stuck(Report& report) const {
     Rank rank;
     std::size_t edge = 0;
   };
-  for (const Rank root : stuck) {
+  for (const HbStuckRank& s : hb.stuck) {
+    const Rank root = s.rank;
     if (index.count(root) > 0) continue;
     std::vector<Frame> call_stack{{root}};
     index[root] = lowlink[root] = next_index++;
@@ -381,7 +89,9 @@ void AbstractMachine::report_stuck(Report& report) const {
   }
 
   std::map<int, std::vector<Rank>> members;
-  for (const Rank r : stuck) members[component[r]].push_back(r);
+  for (const HbStuckRank& s : hb.stuck) {
+    members[component[s.rank]].push_back(s.rank);
+  }
 
   std::set<Rank> in_cycle;
   for (const auto& [comp, ranks] : members) {
@@ -389,16 +99,15 @@ void AbstractMachine::report_stuck(Report& report) const {
     for (const Rank r : ranks) in_cycle.insert(r);
     std::vector<std::string> chain;
     for (const Rank r : ranks) {
-      const RankMachine& m = machines_[static_cast<std::size_t>(r)];
+      const HbStuckRank& s = *state.at(r);
       std::vector<std::string> waits;
       for (const Rank t : edges[r]) {
         waits.push_back(strprintf("%d", t));
       }
       chain.push_back(strprintf(
           "rank %d blocked at record %zu [%s] needs %s (waits on rank %s)",
-          r, m.block_record,
-          trace::to_string(stream(r)[m.block_record]).c_str(),
-          needs.at(r).c_str(), join(waits, ", rank ").c_str()));
+          r, s.record, blocked_text(s).c_str(), s.needs.c_str(),
+          join(waits, ", rank ").c_str()));
     }
     std::vector<std::string> rank_names;
     for (const Rank r : ranks) rank_names.push_back(strprintf("%d", r));
@@ -408,25 +117,14 @@ void AbstractMachine::report_stuck(Report& report) const {
                            join(chain, "; ").c_str()));
   }
 
-  for (const Rank r : stuck) {
-    if (in_cycle.count(r) > 0) continue;
-    const RankMachine& m = machines_[static_cast<std::size_t>(r)];
+  for (const HbStuckRank& s : hb.stuck) {
+    if (in_cycle.count(s.rank) > 0) continue;
     report.error(
-        kPass, r, static_cast<std::ptrdiff_t>(m.block_record),
+        kPass, s.rank, static_cast<std::ptrdiff_t>(s.record),
         strprintf("rank starves: blocked at [%s] needing %s that no rank "
                   "ever provides",
-                  trace::to_string(stream(r)[m.block_record]).c_str(),
-                  needs.at(r).c_str()));
+                  blocked_text(s).c_str(), s.needs.c_str()));
   }
-}
-
-}  // namespace
-
-void check_deadlock(const trace::Trace& trace, Report& report,
-                    std::uint64_t eager_threshold_bytes) {
-  AbstractMachine machine(trace, eager_threshold_bytes);
-  machine.run_to_fixpoint();
-  machine.report_stuck(report);
 }
 
 }  // namespace osim::lint

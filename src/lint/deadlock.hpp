@@ -1,36 +1,30 @@
 // Lint pass 3: deadlock detection.
 //
-// Runs an *untimed* abstract interpretation of the trace — no clocks, no
-// network model — in which every blocking condition is reduced to its pure
-// dependency: a blocking receive needs a matching send issued, a
+// A pure function of the happens-before run (lint/hb.hpp). That machine
+// interprets the trace untimed — every blocking condition reduced to its
+// pure dependency: a blocking receive needs a matching send issued, a
 // rendezvous send (synchronous, or larger than the eager threshold) needs
 // its matching receive posted, a wait needs its requests' partners, and a
-// collective needs every rank to arrive. Records are executed to a fixed
-// point under round-robin scheduling; because completion in this model is
-// monotone (once satisfiable, always satisfiable), any rank still blocked
-// at the fixed point can never progress in a real replay either.
+// collective needs every rank to arrive — to a fixed point under
+// round-robin scheduling. Because completion in this model is monotone
+// (once satisfiable, always satisfiable), any rank still blocked at the
+// fixed point can never progress in a real replay either; the machine
+// records each one in HbAnalysis::stuck with its blame targets.
 //
-// Stuck ranks are then connected into a cross-rank wait-for graph and its
-// strongly connected components are reported: cyclic components as
-// deadlock cycles with the full blame chain (who waits on whom, at which
-// record), acyclic stuck ranks as starvation (waiting on a peer that
-// terminates without satisfying them).
+// This pass connects the stuck ranks into a cross-rank wait-for graph and
+// reports its strongly connected components: cyclic components as deadlock
+// cycles with the full blame chain (who waits on whom, at which record),
+// acyclic stuck ranks as starvation (waiting on a peer that terminates
+// without satisfying them).
 #pragma once
 
-#include <cstdint>
-
 #include "lint/diagnostics.hpp"
+#include "lint/hb.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::lint {
 
-/// Default rendezvous cutoff, mirroring dimemas::Platform's default eager
-/// threshold: sends at or below this size are assumed buffered and never
-/// block; larger (or synchronous) sends block until the receive is posted.
-inline constexpr std::uint64_t kDefaultEagerThresholdBytes = 16 * 1024;
-
-void check_deadlock(const trace::Trace& trace, Report& report,
-                    std::uint64_t eager_threshold_bytes =
-                        kDefaultEagerThresholdBytes);
+void check_deadlock(const trace::Trace& trace, const HbAnalysis& hb,
+                    Report& report);
 
 }  // namespace osim::lint

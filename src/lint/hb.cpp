@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <set>
 #include <variant>
 
 #include "common/expect.hpp"
@@ -86,10 +87,10 @@ struct RankMachine {
   std::map<ReqId, ReqEntry> requests;
 };
 
-/// The deadlock pass's abstract machine (see deadlock.cpp) with a vector
-/// clock threaded through every state transition. Matching order, blocking
-/// conditions and the fixed-point schedule are identical, so the two passes
-/// agree on which trace executions exist.
+/// The abstract machine with a vector clock threaded through every state
+/// transition. Every blocking record sets a block, which advance() resolves
+/// at once when its condition already holds, so a rank stops only at a
+/// record whose dependency is unmet.
 class ClockedMachine {
  public:
   ClockedMachine(const trace::Trace& trace, std::uint64_t eager_threshold)
@@ -117,9 +118,14 @@ class ClockedMachine {
         if (advance(r)) progress = true;
       }
     }
-    analysis_.converged =
-        std::all_of(machines_.begin(), machines_.end(),
-                    [](const RankMachine& m) { return m.finished; });
+    for (Rank r = 0; r < trace_.num_ranks; ++r) {
+      const RankMachine& m = machines_[static_cast<std::size_t>(r)];
+      if (m.finished) continue;
+      HbStuckRank stuck{r, m.block_record, {}, {}};
+      stuck.waits_on = blame_targets(r, m, &stuck.needs);
+      analysis_.stuck.push_back(std::move(stuck));
+    }
+    analysis_.converged = analysis_.stuck.empty();
     for (const PendingSend& send : sends_pool_) {
       if (!send.matched || send.partner == nullptr) continue;
       analysis_.matches.push_back(HbMatch{send.env.src, send.record,
@@ -325,6 +331,64 @@ class ClockedMachine {
       }
     }
     unmatched_recvs_[static_cast<std::size_t>(recv->env.dst)].push_back(recv);
+  }
+
+  /// Ranks a stuck rank waits on (blame edges), and a short description
+  /// of what it needs from them.
+  std::vector<Rank> blame_targets(Rank r, const RankMachine& m,
+                                  std::string* what) const {
+    std::set<Rank> targets;
+    const auto running_peers = [&] {
+      for (Rank o = 0; o < trace_.num_ranks; ++o) {
+        if (o != r && !machines_[static_cast<std::size_t>(o)].finished) {
+          targets.insert(o);
+        }
+      }
+    };
+    switch (m.block) {
+      case BlockKind::kSend:
+        targets.insert(m.blocked_send->env.dst);
+        *what = strprintf("a matching recv on rank %d",
+                          m.blocked_send->env.dst);
+        break;
+      case BlockKind::kRecv:
+        if (m.blocked_recv->env.src != kAnyRank) {
+          targets.insert(m.blocked_recv->env.src);
+          *what = strprintf("a matching send from rank %d",
+                            m.blocked_recv->env.src);
+        } else {
+          running_peers();
+          *what = "a matching send from ANY_SOURCE";
+        }
+        break;
+      case BlockKind::kWait:
+        for (const ReqId req : m.wait_pending) {
+          const auto it = m.requests.find(req);
+          if (it == m.requests.end() || it->second.complete()) continue;
+          if (it->second.send != nullptr) {
+            targets.insert(it->second.send->env.dst);
+          } else if (it->second.recv->env.src != kAnyRank) {
+            targets.insert(it->second.recv->env.src);
+          } else {
+            running_peers();
+          }
+        }
+        *what = strprintf("%zu incomplete request(s)", m.wait_pending.size());
+        break;
+      case BlockKind::kCollective:
+        for (Rank o = 0; o < trace_.num_ranks; ++o) {
+          if (o != r && machines_[static_cast<std::size_t>(o)].colls_arrived <=
+                            m.coll_ordinal) {
+            targets.insert(o);
+          }
+        }
+        *what = strprintf("collective #%lld arrival",
+                          static_cast<long long>(m.coll_ordinal));
+        break;
+      case BlockKind::kNone:
+        break;
+    }
+    return std::vector<Rank>(targets.begin(), targets.end());
   }
 
   const trace::Trace& trace_;

@@ -1,10 +1,11 @@
-// Happens-before engine: per-rank vector clocks over every trace record.
+// Happens-before engine: the linter's one abstract machine.
 //
-// Runs the same untimed abstract interpretation as the deadlock pass
-// (round-robin execution to a fixed point, the replayer's matching
-// discipline from dimemas/matching.hpp, the eager/rendezvous protocol
-// split from deadlock.hpp) but additionally timestamps every record with a
-// vector clock:
+// An untimed abstract interpretation of every rank — no clocks of time, no
+// network model — executed round-robin to a fixed point under the
+// replayer's matching discipline (dimemas/matching.hpp) and the
+// eager/rendezvous protocol split: sends at or below the eager threshold
+// complete locally, larger or synchronous sends block until their receive
+// is posted. Every record is timestamped with a vector clock:
 //
 //   program order   executing record i of rank r ticks component r, so the
 //                   clock of record i strictly dominates that of record i-1;
@@ -25,9 +26,13 @@
 //                   race pass compensates).
 //
 // Two records are ordered (a happens-before b) iff clock(a) <= clock(b)
-// componentwise and the clocks differ; otherwise they are concurrent. The
-// race and overlap-hazard passes are pure functions of the resulting
-// HbAnalysis.
+// componentwise and the clocks differ; otherwise they are concurrent.
+//
+// At the fixed point every rank that has not finished its stream is
+// recorded in HbAnalysis::stuck with its blocked record, what it needs and
+// the ranks it waits on. The deadlock, race and overlap-hazard passes are
+// pure functions of the resulting HbAnalysis, so lint_trace() runs this
+// machine once per trace.
 //
 // The engine is total on damaged traces: it never executes past a blocked
 // rank, so a deadlocked or salvage-truncated trace simply leaves some
@@ -39,10 +44,14 @@
 #include <string>
 #include <vector>
 
-#include "lint/deadlock.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::lint {
+
+/// Default rendezvous cutoff, mirroring dimemas::Platform's default eager
+/// threshold: sends at or below this size are assumed buffered and never
+/// block; larger (or synchronous) sends block until the receive is posted.
+inline constexpr std::uint64_t kDefaultEagerThresholdBytes = 16 * 1024;
 
 /// One component per rank; component r counts records executed by rank r.
 using VectorClock = std::vector<std::uint64_t>;
@@ -65,12 +74,26 @@ struct HbMatch {
   std::size_t recv_record = 0;  // index in the receiver's stream
 };
 
+/// A rank the machine could not run to the end of its stream.
+struct HbStuckRank {
+  trace::Rank rank = -1;
+  std::size_t record = 0;  // the record it is blocked at
+  /// What it needs, e.g. "a matching recv on rank 1" or "collective #2
+  /// arrival".
+  std::string needs;
+  /// Ranks it waits on (blame targets), ascending; may name ranks that
+  /// finished without satisfying it.
+  std::vector<trace::Rank> waits_on;
+};
+
 struct HbAnalysis {
   std::int32_t num_ranks = 0;
   /// All ranks ran their streams to completion. False on deadlock or
   /// starvation (the deadlock pass reports those); clocks of unexecuted
   /// records stay empty.
   bool converged = false;
+  /// Ranks blocked at the fixed point, ascending; empty when converged.
+  std::vector<HbStuckRank> stuck;
 
   /// post_clocks[r][i]: rank r's clock immediately after *posting* record i
   /// (program-order tick applied, no completion joins). Empty when the

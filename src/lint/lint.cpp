@@ -9,6 +9,7 @@
 
 #include "common/strings.hpp"
 #include "lint/collectives.hpp"
+#include "lint/deadlock.hpp"
 #include "lint/hb.hpp"
 #include "lint/match.hpp"
 #include "lint/overlap_hazards.hpp"
@@ -68,8 +69,8 @@ Report lint_trace(const trace::Trace& trace, const LintOptions& options) {
 
   const std::size_t num_ranks = trace.ranks.size();
   // Slot layout (canonical merge order): match, requests per rank,
-  // collectives, deadlock, then the happens-before passes (races + overlap
-  // share one slot: both consume the same HbAnalysis).
+  // collectives, deadlock, then races + overlap in one slot. One task runs
+  // the happens-before machine and fills the last two slots from it.
   std::vector<Report> slots(num_ranks + 4);
   std::vector<std::function<void()>> tasks;
   tasks.emplace_back([&] { check_matching(trace, slots[0]); });
@@ -81,12 +82,9 @@ Report lint_trace(const trace::Trace& trace, const LintOptions& options) {
   tasks.emplace_back(
       [&] { check_collectives(trace, slots[num_ranks + 1]); });
   tasks.emplace_back([&] {
-    check_deadlock(trace, slots[num_ranks + 2],
-                   options.eager_threshold_bytes);
-  });
-  tasks.emplace_back([&] {
     const HbAnalysis hb =
         analyze_happens_before(trace, options.eager_threshold_bytes);
+    check_deadlock(trace, hb, slots[num_ranks + 2]);
     check_races(trace, hb, slots[num_ranks + 3]);
     check_overlap_hazards(trace, hb, slots[num_ranks + 3]);
   });

@@ -5,11 +5,11 @@
 // point-to-point traffic, well-formed immediate-request lifecycles, no
 // cross-rank deadlock, consistent collectives — and, given an original /
 // transformed pair, that the overlap transformation preserved the message
-// structure it claims to. On top of the classic passes sits a
-// happens-before engine (lint/hb.hpp) powering a race detector and a
-// static overlap-hazard classifier. All findings are structured
-// diagnostics (severity, pass, stable code, rank, record index, message,
-// clock evidence); nothing throws on a bad trace.
+// structure it claims to. One happens-before engine (lint/hb.hpp), an
+// abstract machine run once per trace, powers the deadlock pass, a race
+// detector and a static overlap-hazard classifier. All findings are
+// structured diagnostics (severity, pass, stable code, rank, record index,
+// message, clock evidence); nothing throws on a bad trace.
 //
 // Passes (each also callable individually — see the per-pass headers):
 //   0. structure    — rank-stream shape sanity (inline below); when this
@@ -26,8 +26,8 @@
 
 #include <cstdint>
 
-#include "lint/deadlock.hpp"
 #include "lint/diagnostics.hpp"
+#include "lint/hb.hpp"
 #include "trace/trace.hpp"
 
 namespace osim::lint {
