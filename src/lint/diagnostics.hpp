@@ -18,6 +18,10 @@
 
 #include "trace/record.hpp"
 
+namespace osim::metrics {
+class JsonWriter;
+}  // namespace osim::metrics
+
 namespace osim::lint {
 
 enum class Severity : std::uint8_t {
@@ -84,6 +88,9 @@ class Report {
   /// index and clock evidence. rank/record/code/evidence are omitted when
   /// absent, so the document carries no placeholder values.
   std::string render_json() const;
+  /// Writes the same document as one value into `w`, so a surrounding
+  /// report can embed it byte for byte.
+  void write_json(metrics::JsonWriter& w) const;
 
  private:
   std::vector<Diagnostic> diagnostics_;
