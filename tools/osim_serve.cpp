@@ -8,7 +8,6 @@
 // warm tier.
 //
 //   osim_serve --socket /tmp/osim.sock --workers 4 --cache-dir ~/.cache/osim
-//   osim_serve --socket /tmp/osim.sock --journal --cache-dir DIR   # durable
 //   osim_serve --socket /tmp/osim.sock --tcp-port 7077             # + TCP
 //
 // Exit codes follow common/exit_codes.hpp: 0 after a shutdown RPC, 2 bad
@@ -56,7 +55,6 @@ int main(int argc, char** argv) try {
   std::int64_t workers = 2;
   std::string worker_mode = "fork";
   std::string cache_dir;
-  bool journal = false;
   std::int64_t max_queue = 64;
   std::int64_t max_inflight_bytes = std::int64_t{256} << 20;
   std::int64_t max_retries = 2;
@@ -77,10 +75,7 @@ int main(int argc, char** argv) try {
             "worker isolation: fork (processes) | thread (in-process)");
   flags.add("cache-dir", &cache_dir,
             "scenario store directory (default: $OSIM_CACHE_DIR; the "
-            "service's durable tier)");
-  flags.add("journal", &journal,
-            "journal completed scenarios so a restart resumes without "
-            "recomputing (requires a cache dir)");
+            "service's durable tier: a restart answers stored reports)");
   flags.add("max-queue", &max_queue,
             "admission control: refuse submits beyond this many queued "
             "jobs (exit code 6 at the client)");
@@ -117,7 +112,6 @@ int main(int argc, char** argv) try {
   options.fork_workers = worker_mode == "fork";
   options.serve_binary = self_binary(argc > 0 ? argv[0] : nullptr);
   options.cache_dir = store::resolve_cache_dir(cache_dir);
-  options.journal = journal && !options.cache_dir.empty();
   options.max_queue = max_queue;
   options.max_inflight_bytes = max_inflight_bytes;
   options.max_retries = static_cast<int>(max_retries);
