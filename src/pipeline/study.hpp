@@ -32,6 +32,7 @@
 #include <thread>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -339,7 +340,12 @@ auto Study::map(const std::vector<T>& items, F fn)
                         [&] { return state->completed == state->size; });
   }
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (state->errors[i]) std::rethrow_exception(state->errors[i]);
+    // Take the exception out of State before rethrowing: a helper that
+    // drops the last State reference must never free the exception the
+    // caller is still reading.
+    if (state->errors[i]) {
+      std::rethrow_exception(std::exchange(state->errors[i], nullptr));
+    }
   }
   return std::move(state->results);
 }
