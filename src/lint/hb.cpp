@@ -120,10 +120,7 @@ class ClockedMachine {
     }
     for (Rank r = 0; r < trace_.num_ranks; ++r) {
       const RankMachine& m = machines_[static_cast<std::size_t>(r)];
-      if (m.finished) continue;
-      HbStuckRank stuck{r, m.block_record, {}, {}};
-      stuck.waits_on = blame_targets(r, m, &stuck.needs);
-      analysis_.stuck.push_back(std::move(stuck));
+      if (!m.finished) analysis_.stuck.push_back(stuck_rank(r, m));
     }
     analysis_.converged = analysis_.stuck.empty();
     for (const PendingSend& send : sends_pool_) {
@@ -333,10 +330,10 @@ class ClockedMachine {
     unmatched_recvs_[static_cast<std::size_t>(recv->env.dst)].push_back(recv);
   }
 
-  /// Ranks a stuck rank waits on (blame edges), and a short description
-  /// of what it needs from them.
-  std::vector<Rank> blame_targets(Rank r, const RankMachine& m,
-                                  std::string* what) const {
+  /// Where stuck rank `r` is blocked, what it needs, and the ranks it
+  /// waits on (blame edges).
+  HbStuckRank stuck_rank(Rank r, const RankMachine& m) const {
+    HbStuckRank stuck{r, m.block_record, {}, {}};
     std::set<Rank> targets;
     const auto running_peers = [&] {
       for (Rank o = 0; o < trace_.num_ranks; ++o) {
@@ -348,17 +345,17 @@ class ClockedMachine {
     switch (m.block) {
       case BlockKind::kSend:
         targets.insert(m.blocked_send->env.dst);
-        *what = strprintf("a matching recv on rank %d",
-                          m.blocked_send->env.dst);
+        stuck.needs =
+            strprintf("a matching recv on rank %d", m.blocked_send->env.dst);
         break;
       case BlockKind::kRecv:
         if (m.blocked_recv->env.src != kAnyRank) {
           targets.insert(m.blocked_recv->env.src);
-          *what = strprintf("a matching send from rank %d",
-                            m.blocked_recv->env.src);
+          stuck.needs = strprintf("a matching send from rank %d",
+                                  m.blocked_recv->env.src);
         } else {
           running_peers();
-          *what = "a matching send from ANY_SOURCE";
+          stuck.needs = "a matching send from ANY_SOURCE";
         }
         break;
       case BlockKind::kWait:
@@ -373,7 +370,8 @@ class ClockedMachine {
             running_peers();
           }
         }
-        *what = strprintf("%zu incomplete request(s)", m.wait_pending.size());
+        stuck.needs =
+            strprintf("%zu incomplete request(s)", m.wait_pending.size());
         break;
       case BlockKind::kCollective:
         for (Rank o = 0; o < trace_.num_ranks; ++o) {
@@ -382,13 +380,14 @@ class ClockedMachine {
             targets.insert(o);
           }
         }
-        *what = strprintf("collective #%lld arrival",
-                          static_cast<long long>(m.coll_ordinal));
+        stuck.needs = strprintf("collective #%lld arrival",
+                                static_cast<long long>(m.coll_ordinal));
         break;
       case BlockKind::kNone:
         break;
     }
-    return std::vector<Rank>(targets.begin(), targets.end());
+    stuck.waits_on.assign(targets.begin(), targets.end());
+    return stuck;
   }
 
   const trace::Trace& trace_;

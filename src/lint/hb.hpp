@@ -1,6 +1,6 @@
 // Happens-before engine: the linter's one abstract machine.
 //
-// An untimed abstract interpretation of every rank — no clocks of time, no
+// An untimed abstract interpretation of every rank — no simulated time, no
 // network model — executed round-robin to a fixed point under the
 // replayer's matching discipline (dimemas/matching.hpp) and the
 // eager/rendezvous protocol split: sends at or below the eager threshold
