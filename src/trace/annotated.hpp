@@ -86,6 +86,8 @@ struct AnnEvent {
   CollectiveKind coll = CollectiveKind::kBarrier;
   Rank root = 0;
   std::int64_t coll_sequence = 0;
+
+  bool operator==(const AnnEvent&) const = default;
 };
 
 struct AnnotatedRank {
@@ -93,6 +95,8 @@ struct AnnotatedRank {
   /// Virtual clock at the end of the run (captures the tail compute burst
   /// after the last MPI event).
   std::uint64_t final_vclock = 0;
+
+  bool operator==(const AnnotatedRank&) const = default;
 };
 
 struct AnnotatedTrace {
@@ -103,6 +107,9 @@ struct AnnotatedTrace {
 
   static AnnotatedTrace make(std::int32_t num_ranks, double mips,
                              std::string app = "");
+
+  /// Exact structural equality, field by field (mips compared as a double).
+  bool operator==(const AnnotatedTrace&) const = default;
 };
 
 /// Structural validation of an annotated trace: vclocks are nondecreasing

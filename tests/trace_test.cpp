@@ -2,9 +2,14 @@
 // text (de)serialization.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <string_view>
 
+#include "apps/app.hpp"
+#include "common/crc32.hpp"
 #include "common/expect.hpp"
 #include "trace/annotated.hpp"
 #include "trace/annotated_io.hpp"
@@ -600,6 +605,260 @@ TEST(AnnotatedIo, ParserErrors) {
                               "rank 0 final 10\n"
                               "s 5 1 0 8 4 0 1 0 1 2\n"),
                Error);
+}
+
+// --- annotated text grammar ---------------------------------------------------
+//
+// Each rule of the format comment in annotated_io.hpp, checked by parsing a
+// variant spelling and comparing the result field by field against the
+// canonical text's parse.
+
+/// The canonical text of sample_annotated().
+constexpr const char* kSampleText =
+    "#OSIM-ANNTRACE v1\n"
+    "meta app ann\n"
+    "meta ranks 2\n"
+    "meta mips 2300\n"
+    "rank 0 final 200\n"
+    "s 100 1 0 8 4 0 1 0 0 - 42 0\n"
+    "is 150 7 1 3 8 2 0 1 100 100 100\n"
+    "w 160 7\n"
+    "g 170 allreduce 0 8 0\n"
+    "rank 1 final 300\n"
+    "ir 10 2 0 0 8 4 1 1 300 1 20 - 50 60\n"
+    "w 15 2\n"
+    "r 100 0 3 8 2 -1 0 0 -1\n";
+
+std::string replace_all(std::string text, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t pos = text.find(from); pos != std::string::npos;
+       pos = text.find(from, pos + to.size())) {
+    text.replace(pos, from.size(), to);
+  }
+  return text;
+}
+
+TEST(AnnotatedIo, CanonicalTextIsTheWriterOutput) {
+  EXPECT_EQ(write_annotated(sample_annotated()), kSampleText);
+  EXPECT_EQ(read_annotated(kSampleText), sample_annotated());
+}
+
+TEST(AnnotatedIo, StructuralEqualitySeesEveryField) {
+  const AnnotatedTrace base = sample_annotated();
+  AnnotatedTrace t = base;
+  t.ranks[1].events[0].elem_first_load[3] = 61;
+  EXPECT_FALSE(t == base);
+  t = base;
+  t.ranks[0].events[2].wait_requests.push_back(8);
+  EXPECT_FALSE(t == base);
+  t = base;
+  t.ranks[1].final_vclock = 301;
+  EXPECT_FALSE(t == base);
+  t = base;
+  t.mips = 2301.0;
+  EXPECT_FALSE(t == base);
+  t = base;
+  t.ranks[0].events[3].coll_sequence = 1;
+  EXPECT_FALSE(t == base);
+}
+
+TEST(AnnotatedIo, CommentsStartAnywhereAndBlankLinesAreSkipped) {
+  std::string text = kSampleText;
+  text = replace_all(text, "meta ranks 2\n",
+                     "\n# a whole-line comment\nmeta ranks 2   # ranks\n\n");
+  text = replace_all(text, "w 160 7\n", "w 160 7#glued comment\n   \n");
+  text = replace_all(text, "rank 1 final 300\n",
+                     "rank 1 final 300 # s 1 2 3\n#\n");
+  text += "\n# trailing comment, no newline";
+  EXPECT_EQ(read_annotated(text), sample_annotated());
+}
+
+TEST(AnnotatedIo, AnyWhitespaceSeparatesTokens) {
+  std::string crlf = replace_all(kSampleText, "\n", "\r\n");
+  EXPECT_EQ(read_annotated(crlf), sample_annotated());
+  std::string tabs = replace_all(kSampleText, " ", "\t");
+  tabs = replace_all(tabs, "#OSIM-ANNTRACE\tv1", "#OSIM-ANNTRACE v1");
+  EXPECT_EQ(read_annotated(tabs), sample_annotated());
+  std::string mixed = replace_all(kSampleText, " ", " \t \v\f ");
+  mixed = replace_all(mixed, "#OSIM-ANNTRACE \t \v\f v1",
+                      "  #OSIM-ANNTRACE v1 \t");
+  EXPECT_EQ(read_annotated(mixed), sample_annotated());
+}
+
+TEST(AnnotatedIo, MetaLinesComeFirstInAnyOrder) {
+  const std::string reordered = replace_all(
+      kSampleText, "meta app ann\nmeta ranks 2\nmeta mips 2300\n",
+      "meta mips 2.3e3\nmeta ranks 2\nmeta app ann\n");
+  EXPECT_EQ(read_annotated(reordered), sample_annotated());
+  // Later meta lines override earlier ones; '-' names no app.
+  const AnnotatedTrace t = read_annotated(
+      replace_all(kSampleText, "meta app ann\n",
+                  "meta app first\nmeta app - extra tokens\n"));
+  EXPECT_EQ(t.app, "");
+  // A meta line after the first non-meta line is not meta any more.
+  EXPECT_THROW(read_annotated(std::string(kSampleText) + "meta app late\n"),
+               Error);
+}
+
+TEST(AnnotatedIo, IntegersMayCarryAPlusSign) {
+  std::string text = replace_all(kSampleText, "s 100 1 0 8 4 0 1 0 0 - 42 0",
+                                 "s +100 +1 +0 +8 +4 +0 +1 +0 +0 - +42 +0");
+  text = replace_all(text, "rank 1 final 300", "rank +1 final +300");
+  text = replace_all(text, "w 15 2", "w +15 +2");
+  text = replace_all(text, "g 170 allreduce 0 8 0", "g 170 allreduce +0 +8 +0");
+  EXPECT_EQ(read_annotated(text), sample_annotated());
+  // Leading zeros are plain decimal, not octal.
+  text = replace_all(kSampleText, "w 160 7", "w 0160 007");
+  EXPECT_EQ(read_annotated(text), sample_annotated());
+}
+
+TEST(AnnotatedIo, DashAloneIsTheNeverAccessedSentinel) {
+  const AnnotatedTrace t = read_annotated(kSampleText);
+  EXPECT_EQ(t.ranks[0].events[0].elem_last_store[1], kNeverAccessed);
+  EXPECT_EQ(t.ranks[1].events[0].elem_first_load[1], kNeverAccessed);
+  // A literal UINT64_MAX reads as the same value.
+  const AnnotatedTrace max = read_annotated(replace_all(
+      kSampleText, "s 100 1 0 8 4 0 1 0 0 - 42 0",
+      "s 100 1 0 8 4 0 1 0 0 18446744073709551615 42 0"));
+  EXPECT_EQ(max, sample_annotated());
+  // Anywhere else '-' or a leading '-' is not an unsigned integer.
+  EXPECT_THROW(read_annotated(replace_all(kSampleText, "w 15 2", "w - 2")),
+               Error);
+  EXPECT_THROW(read_annotated(replace_all(kSampleText, "- 42 0", "-1 42 0")),
+               Error);
+  EXPECT_THROW(read_annotated(replace_all(kSampleText, "- 42 0", "-- 42 0")),
+               Error);
+}
+
+// --- annotated parse errors, with the line they name -------------------------
+
+/// The message of the osim::Error that parsing `text` throws ("" if none).
+std::string parse_error(const std::string& text) {
+  try {
+    read_annotated(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string at(int line, const std::string& why) {
+  return "annotated trace parse error at line " + std::to_string(line) +
+         ": " + why;
+}
+
+constexpr const char* kHead = "#OSIM-ANNTRACE v1\nmeta ranks 2\n";
+
+TEST(AnnotatedIo, HeaderAndMetaErrorsNameTheirLine) {
+  EXPECT_EQ(parse_error(""), at(0, "empty annotated trace file"));
+  EXPECT_EQ(parse_error("not a header\n"),
+            at(1, "missing '#OSIM-ANNTRACE v1' header"));
+  EXPECT_EQ(parse_error("\n#OSIM-ANNTRACE v1\nmeta ranks 2\n"),
+            at(1, "missing '#OSIM-ANNTRACE v1' header"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v2\nmeta ranks 2\n"),
+            at(1, "missing '#OSIM-ANNTRACE v1' header"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks 0\n"),
+            at(2, "ranks must be positive"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\n\n# c\nmeta ranks -3\n"),
+            at(4, "ranks must be positive"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks two\n"),
+            at(2, "bad integer 'two'"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks 2\nmeta mips 0\n"),
+            at(3, "bad mips value"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks 2\nmeta mips x\n"),
+            at(3, "bad mips value"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks 2\nmeta color red\n"),
+            at(3, "unknown meta key 'color'"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks\n"),
+            at(2, "too few fields"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta app x\n\n"),
+            at(3, "annotated trace missing 'meta ranks'"));
+}
+
+TEST(AnnotatedIo, RankDirectiveErrorsNameTheirLine) {
+  const std::string head = kHead;
+  EXPECT_EQ(parse_error(head + "rank 0 final\n"), at(3, "too few fields"));
+  EXPECT_EQ(parse_error(head + "rank 0 last 10\n"),
+            at(3, "expected 'rank N final CLOCK'"));
+  EXPECT_EQ(parse_error(head + "rank x final 10\n"),
+            at(3, "bad integer 'x'"));
+  EXPECT_EQ(parse_error(head + "rank 2 final 10\n"),
+            at(3, "rank out of range"));
+  EXPECT_EQ(parse_error(head + "rank -1 final 10\n"),
+            at(3, "rank out of range"));
+  EXPECT_EQ(parse_error(head + "rank 0 final -10\n"),
+            at(3, "bad unsigned integer '-10'"));
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8 1 0 1 0\n"),
+            at(3, "event before any 'rank' directive"));
+  EXPECT_EQ(parse_error(head + "rank 0 final 1\nmeta app x\n"),
+            at(4, "unknown event type 'meta'"));
+}
+
+TEST(AnnotatedIo, EventErrorsNameTheirLine) {
+  const std::string head = std::string(kHead) + "rank 0 final 10\n";
+  // Comment and blank lines inside the body still count.
+  EXPECT_EQ(parse_error(head + "# note\n\n  \nz 1\n"),
+            at(7, "unknown event type 'z'"));
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8 4 0 1 0 1 2\n"),
+            at(4, "expected 4 per-element times, got 2"));
+  EXPECT_EQ(parse_error(head + "r 5 1 0 8 1 0 1 9 0 1 2\n"),
+            at(4, "expected 1 per-element times, got 2"));
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8\n"), at(4, "missing field"));
+  EXPECT_EQ(parse_error(head + "is 5\n"), at(4, "missing field"));
+  EXPECT_EQ(parse_error(head + "s 5 one 0 8 1 -1 0 0\n"),
+            at(4, "bad integer 'one'"));
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8 1 -1 0 0 x\n"),
+            at(4, "bad unsigned integer 'x'"));
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8 1 -1 0 0 -\n"), "");
+  EXPECT_EQ(parse_error(head + "w 5\n"), at(4, "wait with no requests"));
+  EXPECT_EQ(parse_error(head + "w 5 # 7\n"), at(4, "wait with no requests"));
+  EXPECT_EQ(parse_error(head + "w 5 1 x\n"), at(4, "bad integer 'x'"));
+  EXPECT_EQ(parse_error(head + "g 5 allgossip 0 8 0\n"),
+            at(4, "unknown collective"));
+  EXPECT_EQ(parse_error(head + "g 5 barrier 0 8\n"), at(4, "missing field"));
+  EXPECT_EQ(parse_error(head + "g 5 barrier 0 +-8 0\n"),
+            at(4, "bad unsigned integer '+-8'"));
+  EXPECT_EQ(parse_error(head + "g 5 barrier 0 8 0\nrank 1 final 3\ns 1\n"),
+            at(6, "missing field"));
+  EXPECT_EQ(parse_error(head + "s 99999999999999999999 1 0 8 1 -1 0 0\n"),
+            at(4, "bad unsigned integer '99999999999999999999'"));
+  EXPECT_EQ(parse_error(head + "s 1 1 9223372036854775808 8 1 -1 0 0\n"),
+            at(4, "bad integer '9223372036854775808'"));
+  EXPECT_EQ(parse_error(head + "s 1 1 0x10 8 1 -1 0 0\n"),
+            at(4, "bad integer '0x10'"));
+}
+
+// --- writer output of every app, pinned by length and CRC-32 ------------------
+//
+// The bytes write_annotated produces for each bundled app at 16 ranks x 2
+// iterations (ranks rounded up to one the app supports). A reader or writer
+// change that drifts in step with the other keeps the round trip passing;
+// these do not. The parse of each text must equal the traced original.
+
+std::string digest(std::string_view bytes) {
+  Crc32 crc;
+  crc.update(bytes.data(), bytes.size());
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%zu:%08x", bytes.size(), crc.value());
+  return buf;
+}
+
+TEST(AnnotatedIoGolden, AppTextsArePinned) {
+  const std::map<std::string, std::string> expected = {
+      {"sweep3d", "928094:acdf3f04"},   {"pop", "256170:b06c9393"},
+      {"alya", "12859:3ead2f8d"},       {"specfem3d", "496840:3573e7bc"},
+      {"nas_bt", "388265:47487fd4"},    {"nas_cg", "1560153:25f308b7"},
+  };
+  for (const apps::MiniApp* app : apps::registry()) {
+    apps::AppConfig config;
+    config.ranks = 16;
+    config.iterations = 2;
+    while (!app->supports_ranks(config.ranks)) ++config.ranks;
+    const AnnotatedTrace traced = apps::trace_app(*app, config).annotated;
+    const std::string text = write_annotated(traced);
+    EXPECT_EQ(digest(text), expected.at(app->name())) << app->name();
+    EXPECT_EQ(read_annotated(text), traced) << app->name();
+  }
 }
 
 }  // namespace
