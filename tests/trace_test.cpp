@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -826,6 +827,47 @@ TEST(AnnotatedIo, EventErrorsNameTheirLine) {
             at(4, "bad integer '9223372036854775808'"));
   EXPECT_EQ(parse_error(head + "s 1 1 0x10 8 1 -1 0 0\n"),
             at(4, "bad integer '0x10'"));
+}
+
+TEST(AnnotatedIo, ValuesThatDoNotFitTheirFieldAreErrors) {
+  const std::string head = std::string(kHead) + "rank 0 final 10\n";
+  // 2^32 + 1 once read back as peer 1; every narrowed field is checked.
+  EXPECT_EQ(parse_error(head + "s 5 4294967297 0 8 1 -1 0 0\n"),
+            at(4, "integer '4294967297' out of range"));
+  EXPECT_EQ(parse_error(head + "g 5 bcast -2147483649 8 0\n"),
+            at(4, "integer '-2147483649' out of range"));
+  EXPECT_EQ(parse_error(head + "r 5 1 0 4294967296 1 -1 0 9 -1\n"),
+            at(4, "integer '4294967296' out of range"));
+  EXPECT_EQ(parse_error(head + "r 5 1 0 -8 1 -1 0 9 -1\n"),
+            at(4, "integer '-8' out of range"));
+  EXPECT_EQ(parse_error("#OSIM-ANNTRACE v1\nmeta ranks 4294967297\n"),
+            at(2, "integer '4294967297' out of range"));
+  EXPECT_EQ(parse_error(std::string(kHead) + "rank 4294967296 final 10\n"),
+            at(3, "integer '4294967296' out of range"));
+  // The widest values that do fit still read back exactly.
+  const AnnotatedTrace t = read_annotated(
+      "#OSIM-ANNTRACE v1\nmeta ranks 1\nrank 0 final 10\n"
+      "r 5 -2147483648 -9223372036854775808 4294967295 1 -1 0 9 -1\n");
+  const AnnEvent& recv = t.ranks[0].events[0];
+  EXPECT_EQ(recv.peer, std::numeric_limits<Rank>::min());
+  EXPECT_EQ(recv.tag, std::numeric_limits<Tag>::min());
+  EXPECT_EQ(recv.elem_bytes, std::numeric_limits<std::uint32_t>::max());
+  EXPECT_EQ(recv.bytes, std::numeric_limits<std::uint32_t>::max());
+}
+
+TEST(AnnotatedIo, TransferSizeThatOverflowsIsAnError) {
+  const std::string head = std::string(kHead) + "rank 0 final 10\n";
+  // 2^61 + 1 elements of 8 bytes once wrapped to one element of 8 bytes.
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8 2305843009213693953 -1 0 0\n"),
+            at(4, "transfer size overflows: 2305843009213693953 elements "
+                  "of 8 bytes"));
+  EXPECT_EQ(
+      parse_error(head + "ir 5 3 1 0 2 9223372036854775808 -1 0 9 -1\n"),
+      at(4, "transfer size overflows: 9223372036854775808 elements of 2 "
+            "bytes"));
+  // The largest product that fits is not an overflow.
+  EXPECT_EQ(parse_error(head + "s 5 1 0 8 2305843009213693951 -1 0 0\n"),
+            "");
 }
 
 // --- writer output of every app, pinned by length and CRC-32 ------------------
