@@ -28,6 +28,7 @@
 #include "store/format.hpp"
 #include "store/store.hpp"
 #include "trace/annotated.hpp"
+#include "trace/annotated_io.hpp"
 #include "trace/io.hpp"
 #include "trace/trace.hpp"
 
@@ -441,6 +442,137 @@ TEST_P(RandomAnnotated, TransformedTraceReplays) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAnnotated,
+                         ::testing::Range<std::uint64_t>(1, 25));
+
+// --- annotated text format -----------------------------------------------------
+
+/// random_annotated plus one event of every other kind per rank at its
+/// final clock: an untracked isend and irecv, the wait that completes both
+/// and a collective, so the text covers every line type.
+AnnotatedTrace random_annotated_all_kinds(std::uint64_t seed) {
+  AnnotatedTrace t = random_annotated(seed);
+  Rng rng(seed ^ 0x5eed);
+  for (Rank r = 0; r < t.num_ranks; ++r) {
+    auto& rank = t.ranks[static_cast<std::size_t>(r)];
+    AnnEvent isend;
+    isend.kind = AnnEvent::Kind::kIsend;
+    isend.vclock = rank.final_vclock;
+    isend.request = 100;
+    isend.peer = static_cast<Rank>(r ^ 1);
+    isend.tag = -7;
+    isend.elem_bytes = 4;
+    isend.bytes = 4 * rng.below(1000);
+    rank.events.push_back(isend);
+    AnnEvent irecv = isend;
+    irecv.kind = AnnEvent::Kind::kIrecv;
+    irecv.request = 101;
+    irecv.wait_event_index =
+        static_cast<std::int64_t>(rank.events.size()) + 1;
+    rank.events.push_back(irecv);
+    AnnEvent wait;
+    wait.kind = AnnEvent::Kind::kWait;
+    wait.vclock = rank.final_vclock;
+    wait.wait_requests = {100, 101};
+    rank.events.push_back(wait);
+    AnnEvent global;
+    global.kind = AnnEvent::Kind::kGlobalOp;
+    global.vclock = rank.final_vclock;
+    global.coll = trace::CollectiveKind::kAllreduce;
+    global.root = static_cast<Rank>(rng.below(
+        static_cast<std::uint64_t>(t.num_ranks)));
+    global.bytes = 8u << rng.below(8);
+    global.coll_sequence = 3;
+    rank.events.push_back(global);
+  }
+  return t;
+}
+
+std::vector<std::string> text_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const std::string& line : lines) out += line + '\n';
+  return out;
+}
+
+/// One random damage to a written annotated text: byte replacements from
+/// an alphabet the grammar cares about, a truncation, or a swapped,
+/// deleted or duplicated line.
+std::string damage_text(const std::string& text, Rng& rng) {
+  static constexpr char kAlphabet[] = "0123456789+-# \t\r\nsrigw\xff";
+  std::string out = text;
+  switch (rng.below(5)) {
+    case 0: {
+      const int edits = static_cast<int>(1 + rng.below(3));
+      for (int e = 0; e < edits; ++e) {
+        out[rng.below(out.size())] =
+            kAlphabet[rng.below(sizeof(kAlphabet) - 1)];
+      }
+      return out;
+    }
+    case 1:
+      return out.substr(0, rng.below(out.size()));
+    default:
+      break;
+  }
+  std::vector<std::string> lines = text_lines(text);
+  const std::size_t a = rng.below(lines.size());
+  const std::size_t b = rng.below(lines.size());
+  switch (rng.below(3)) {
+    case 0:
+      std::swap(lines[a], lines[b]);
+      break;
+    case 1:
+      lines.erase(lines.begin() + static_cast<std::ptrdiff_t>(a));
+      break;
+    default:
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(b), lines[a]);
+      break;
+  }
+  return join_lines(lines);
+}
+
+class RandomAnnotatedText : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RandomAnnotatedText, RoundTripsExactly) {
+  const AnnotatedTrace t = random_annotated_all_kinds(GetParam());
+  ASSERT_NO_THROW(trace::validate(t));
+  const std::string text = trace::write_annotated(t);
+  const AnnotatedTrace parsed = trace::read_annotated(text);
+  EXPECT_TRUE(parsed == t);
+  EXPECT_EQ(trace::write_annotated(parsed), text);
+}
+
+TEST_P(RandomAnnotatedText, DamageIsAnErrorOrAValidTrace) {
+  const std::string text =
+      trace::write_annotated(random_annotated_all_kinds(GetParam()));
+  Rng rng(GetParam() * 31 + 7);
+  int accepted = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::string damaged = damage_text(text, rng);
+    AnnotatedTrace parsed;
+    try {
+      parsed = trace::read_annotated(damaged);
+    } catch (const Error&) {
+      continue;
+    }
+    ++accepted;
+    ASSERT_NO_THROW(trace::validate(parsed)) << damaged;
+    const std::string rewritten = trace::write_annotated(parsed);
+    EXPECT_EQ(trace::write_annotated(trace::read_annotated(rewritten)),
+              rewritten);
+  }
+  // Whitespace, comment and line-order damage often leaves a valid trace;
+  // if nothing is ever accepted the harness is not exercising the reader.
+  EXPECT_GT(accepted, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomAnnotatedText,
                          ::testing::Range<std::uint64_t>(1, 25));
 
 // --- scenario-store corruption ----------------------------------------------
