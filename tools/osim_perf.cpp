@@ -1,6 +1,6 @@
 // osim_perf — the replay-core benchmark harness.
 //
-// Times the simulator's three hot paths over the bundled mini-apps and
+// Times the simulator's four hot paths over the bundled mini-apps and
 // writes a versioned BENCH_replay.json for tracking and CI gating:
 //
 //   replay  — events/second through dimemas::replay (the DES inner loop:
@@ -8,6 +8,9 @@
 //             streams);
 //   ingest  — traces/second through binary trace ingestion (mmap'd
 //             zero-copy parse, CRC footer verification);
+//   annotated_ingest
+//           — MB/second through read_annotated_file over each app's
+//             annotated text trace (mapped in-place parse + validation);
 //   study   — scenarios/second through a pipeline::Study bandwidth sweep
 //             at --jobs N (thread pool + fingerprint cache overhead).
 //
@@ -44,6 +47,7 @@
 #include "pipeline/context.hpp"
 #include "pipeline/scenario.hpp"
 #include "pipeline/study.hpp"
+#include "trace/annotated_io.hpp"
 #include "trace/binary_io.hpp"
 
 namespace {
@@ -79,8 +83,8 @@ int main(int argc, char** argv) try {
   RunOptions run;
 
   Flags flags(
-      "osim_perf: time the replay/ingest/study hot paths over the bundled "
-      "apps and write a versioned BENCH_replay.json");
+      "osim_perf: time the replay/ingest/annotated-ingest/study hot paths "
+      "over the bundled apps and write a versioned BENCH_replay.json");
   flags.add("repetitions", &repetitions,
             "timed repetitions per path (the JSON records each plus the "
             "median)");
@@ -103,6 +107,7 @@ int main(int argc, char** argv) try {
 
   struct Workload {
     std::string name;
+    trace::AnnotatedTrace annotated;
     pipeline::ReplayContext original;
     pipeline::ReplayContext overlapped;
   };
@@ -114,7 +119,7 @@ int main(int argc, char** argv) try {
     const dimemas::Platform platform = dimemas::Platform::marenostrum(
         app_config.ranks, app->paper_buses());
     workloads.push_back(Workload{
-        app->name(),
+        app->name(), traced.annotated,
         pipeline::make_context(traced.annotated,
                                pipeline::TraceVariant::kOriginal,
                                overlap_options, platform),
@@ -175,11 +180,42 @@ int main(int argc, char** argv) try {
     ingest_path.work = static_cast<double>(records);
   }
   finalize(ingest_path);
-  std::filesystem::remove_all(tmp);
   std::fprintf(stderr, "[perf] ingest: %.3g traces/s (median of %lld)\n",
                ingest_path.median, static_cast<long long>(repetitions));
 
-  // --- path 3: study sweep (scenarios/second at --jobs N) ----------------
+  // --- path 3: annotated text ingestion (MB/second) ----------------------
+  std::vector<std::string> annotated_files;
+  std::uint64_t annotated_bytes = 0;
+  for (const Workload& w : workloads) {
+    const std::string path = (tmp / (w.name + ".ann")).string();
+    trace::write_annotated_file(w.annotated, path);
+    annotated_bytes += std::filesystem::file_size(path);
+    annotated_files.push_back(path);
+  }
+  PathResult annotated_path;
+  annotated_path.unit = "mb_per_s";
+  for (std::int64_t rep = 0; rep < repetitions; ++rep) {
+    const Clock::time_point start = Clock::now();
+    std::size_t events = 0;
+    for (const std::string& path : annotated_files) {
+      for (const trace::AnnotatedRank& rank :
+           trace::read_annotated_file(path).ranks) {
+        events += rank.events.size();
+      }
+    }
+    OSIM_CHECK(events > 0);
+    const double wall = seconds_since(start);
+    annotated_path.runs.push_back(static_cast<double>(annotated_bytes) /
+                                  1e6 / wall);
+    annotated_path.work = static_cast<double>(annotated_bytes);
+  }
+  finalize(annotated_path);
+  std::filesystem::remove_all(tmp);
+  std::fprintf(stderr,
+               "[perf] annotated_ingest: %.3g MB/s (median of %lld)\n",
+               annotated_path.median, static_cast<long long>(repetitions));
+
+  // --- path 4: study sweep (scenarios/second at --jobs N) ----------------
   PathResult study_path;
   study_path.unit = "scenarios_per_s";
   const int jobs = run.resolved_jobs();
@@ -237,12 +273,14 @@ int main(int argc, char** argv) try {
   w.key("apps").value(static_cast<std::int64_t>(workloads.size()));
   w.key("jobs").value(static_cast<std::int64_t>(jobs));
   w.key("trace_bytes").value(ingest_bytes);
+  w.key("annotated_bytes").value(annotated_bytes);
   w.end_object();
   w.key("repetitions").value(repetitions);
   w.key("paths").begin_object();
-  const PathResult* paths[] = {&replay_path, &ingest_path, &study_path};
-  const char* names[] = {"replay", "ingest", "study"};
-  for (int i = 0; i < 3; ++i) {
+  const PathResult* paths[] = {&replay_path, &ingest_path, &annotated_path,
+                               &study_path};
+  const char* names[] = {"replay", "ingest", "annotated_ingest", "study"};
+  for (int i = 0; i < 4; ++i) {
     w.key(names[i]).begin_object();
     w.key("unit").value(paths[i]->unit);
     w.key("median").value(paths[i]->median);
@@ -261,9 +299,9 @@ int main(int argc, char** argv) try {
   std::fputs("\n", f);
   std::fclose(f);
   std::printf("wrote %s (replay %.3g events/s, ingest %.3g traces/s, "
-              "study %.3g scenarios/s)\n",
+              "annotated_ingest %.3g MB/s, study %.3g scenarios/s)\n",
               out_path.c_str(), replay_path.median, ingest_path.median,
-              study_path.median);
+              annotated_path.median, study_path.median);
   return kExitOk;
 } catch (const osim::UsageError& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
