@@ -26,80 +26,58 @@ void put(std::string& out, Int value) {
   out.append(buf, result.ptr);
 }
 
+/// Appends " <value>" for each value.
+template <typename... Ints>
+void put_fields(std::string& out, Ints... values) {
+  ((out += ' ', put(out, values)), ...);
+}
+
 void put_times(std::string& out, const std::vector<std::uint64_t>& times) {
   for (const std::uint64_t t : times) {
     if (t == kNeverAccessed) {
       out += " -";
     } else {
-      out += ' ';
-      put(out, t);
+      put_fields(out, t);
     }
   }
 }
 
-/// The fields a send and a receive line share, after the op and its
-/// vclock/request prefix: peer, tag, elem_bytes, nelems, buffer, chunkable.
-void put_transfer(std::string& out, const AnnEvent& ev) {
-  out += ' ';
-  put(out, ev.peer);
-  out += ' ';
-  put(out, ev.tag);
-  out += ' ';
-  put(out, ev.elem_bytes);
-  out += ' ';
-  put(out, ev.bytes / ev.elem_bytes);
-  out += ' ';
-  put(out, ev.buffer_id);
-  out += ev.chunkable ? " 1 " : " 0 ";
-}
-
 void put_event(std::string& out, const AnnEvent& ev) {
+  const bool immediate = ev.kind == AnnEvent::Kind::kIsend ||
+                         ev.kind == AnnEvent::Kind::kIrecv;
   switch (ev.kind) {
     case AnnEvent::Kind::kSend:
     case AnnEvent::Kind::kIsend:
-      out += ev.kind == AnnEvent::Kind::kIsend ? "is " : "s ";
-      put(out, ev.vclock);
-      if (ev.kind == AnnEvent::Kind::kIsend) {
-        out += ' ';
-        put(out, ev.request);
-      }
-      put_transfer(out, ev);
-      put(out, ev.interval_start);
-      put_times(out, ev.elem_last_store);
-      break;
     case AnnEvent::Kind::kRecv:
-    case AnnEvent::Kind::kIrecv:
-      out += ev.kind == AnnEvent::Kind::kIrecv ? "ir " : "r ";
-      put(out, ev.vclock);
-      if (ev.kind == AnnEvent::Kind::kIrecv) {
-        out += ' ';
-        put(out, ev.request);
+    case AnnEvent::Kind::kIrecv: {
+      const bool send = ev.kind == AnnEvent::Kind::kSend ||
+                        ev.kind == AnnEvent::Kind::kIsend;
+      out += immediate ? (send ? "is" : "ir") : (send ? "s" : "r");
+      put_fields(out, ev.vclock);
+      if (immediate) put_fields(out, ev.request);
+      put_fields(out, ev.peer, ev.tag, ev.elem_bytes,
+                 ev.bytes / ev.elem_bytes, ev.buffer_id,
+                 ev.chunkable ? 1 : 0);
+      if (send) {
+        put_fields(out, ev.interval_start);
+        put_times(out, ev.elem_last_store);
+      } else {
+        put_fields(out, ev.interval_end, ev.wait_event_index);
+        put_times(out, ev.elem_first_load);
       }
-      put_transfer(out, ev);
-      put(out, ev.interval_end);
-      out += ' ';
-      put(out, ev.wait_event_index);
-      put_times(out, ev.elem_first_load);
       break;
+    }
     case AnnEvent::Kind::kWait:
-      out += "w ";
-      put(out, ev.vclock);
-      for (const ReqId req : ev.wait_requests) {
-        out += ' ';
-        put(out, req);
-      }
+      out += 'w';
+      put_fields(out, ev.vclock);
+      for (const ReqId req : ev.wait_requests) put_fields(out, req);
       break;
     case AnnEvent::Kind::kGlobalOp:
-      out += "g ";
-      put(out, ev.vclock);
+      out += 'g';
+      put_fields(out, ev.vclock);
       out += ' ';
       out += collective_name(ev.coll);
-      out += ' ';
-      put(out, ev.root);
-      out += ' ';
-      put(out, ev.bytes);
-      out += ' ';
-      put(out, ev.coll_sequence);
+      put_fields(out, ev.root, ev.bytes, ev.coll_sequence);
       break;
   }
   out += '\n';
@@ -113,18 +91,18 @@ void format_annotated(const AnnotatedTrace& trace, std::string& out,
   out += kHeader;
   out += "\nmeta app ";
   out += trace.app.empty() ? "-" : trace.app;
-  out += "\nmeta ranks ";
-  put(out, trace.num_ranks);
+  out += "\nmeta ranks";
+  put_fields(out, trace.num_ranks);
   out += "\nmeta mips ";
   out += strprintf("%.17g", trace.mips);
   out += '\n';
   flush(out);
   for (Rank rank = 0; rank < trace.num_ranks; ++rank) {
     const AnnotatedRank& arank = trace.ranks[static_cast<std::size_t>(rank)];
-    out += "rank ";
-    put(out, rank);
-    out += " final ";
-    put(out, arank.final_vclock);
+    out += "rank";
+    put_fields(out, rank);
+    out += " final";
+    put_fields(out, arank.final_vclock);
     out += '\n';
     for (const AnnEvent& ev : arank.events) put_event(out, ev);
     flush(out);
@@ -302,21 +280,16 @@ class Parser {
         value = value * 10 + static_cast<std::uint64_t>(*pos_ - '0');
         ++pos_;
       }
-      const auto digits = pos_ - start;
-      if (pos_ != line_end_ && !is_space(*pos_)) {
+      if (pos_ == start || pos_ - start > 19 ||
+          (pos_ != line_end_ && !is_space(*pos_))) {
+        // Not a run of at most 19 digits (which cannot overflow): '-', a
+        // '+', a longer number or a bad token.
         while (pos_ != line_end_ && !is_space(*pos_)) ++pos_;
         const std::string_view token(start,
                                      static_cast<std::size_t>(pos_ - start));
-        if (token == "-") {
-          value = kNeverAccessed;
-        } else {
-          const auto parsed = parse_decimal<std::uint64_t>(token);
-          if (!parsed) check_times(trailer, nelems);
-          value = *parsed;
-        }
-      } else if (digits > 19) {  // may not fit: take the checked path
-        const auto parsed = parse_decimal<std::uint64_t>(
-            std::string_view(start, static_cast<std::size_t>(digits)));
+        const auto parsed = token == "-"
+                                ? std::optional<std::uint64_t>(kNeverAccessed)
+                                : parse_decimal<std::uint64_t>(token);
         if (!parsed) check_times(trailer, nelems);
         value = *parsed;
       }
