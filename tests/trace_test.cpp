@@ -591,6 +591,20 @@ TEST(AnnotatedIo, FileRoundTripAndTransformStable) {
   EXPECT_EQ(write_annotated(parsed), write_annotated(t));
 }
 
+TEST(AnnotatedIo, EmptyAndMissingFilesAreErrors) {
+  const std::string path = ::testing::TempDir() + "/osim_ann_empty.ann";
+  { std::ofstream touch(path); }
+  try {
+    read_annotated_file(path);
+    ADD_FAILURE() << "an empty file parsed";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "annotated trace parse error at line 0: empty annotated "
+                 "trace file");
+  }
+  EXPECT_THROW(read_annotated_file(path + ".missing"), Error);
+}
+
 TEST(AnnotatedIo, ParserErrors) {
   EXPECT_THROW(read_annotated("not a header\n"), Error);
   EXPECT_THROW(read_annotated("#OSIM-ANNTRACE v1\nmeta ranks 0\n"), Error);
